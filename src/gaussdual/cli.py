@@ -95,6 +95,8 @@ def cmd_validate(args):
 
 def cmd_logdet(args):
     model, _ = load_model(args.model)
+    if args.method in DENSE_METHODS and model.N > (cap := _dense_cap()):
+        raise ValueError(f"N={model.N} exceeds dense cap {cap} ({DENSE_CAP_ENV})")
     t0 = time.perf_counter()
     logdet = _run_method(model, args.method)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -354,7 +356,7 @@ def main(argv=None):
         DimensionMismatch,
         InfeasibleStructure,
         ValueError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import SparseSymMatrix, _overlap_add, is_forest
+from .model import SparseSymMatrix, _block_tridiagonal, _sparse_from_blocks, is_forest
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -71,23 +71,14 @@ def build_dual(model):
     The dual precision is the overlap-add of the sign-congruent
     covariance blocks (covariance in place of precision, same embedding
     as the primal assembly), restricted to the interior variables by
-    deleting the pinned rows and columns.
+    deleting the pinned rows and columns: the first and last block row.
+    The congruence negates exactly the coupling blocks.
     """
     k, L, N = model.k, model.L, model.N
-    s = np.concatenate([-np.ones(k), np.ones(k)])
-    flipped = model.sigma_blocks * np.outer(s, s)
-
-    diag, rows, cols, vals = _overlap_add(flipped, k, N)
+    diag_blocks, off_blocks = _block_tridiagonal(model.sigma_blocks, k)
+    dual_precision = _sparse_from_blocks(diag_blocks[1:-1], -off_blocks[1:-1])
 
     lo, hi = k, L * k
-    keep = (rows >= lo) & (cols < hi)
-    dual_precision = SparseSymMatrix(
-        hi - lo,
-        diag[lo:hi].copy(),
-        rows[keep] - lo,
-        cols[keep] - lo,
-        vals[keep],
-    )
     return DualModel(
         n_dual=hi - lo,
         dual_precision=dual_precision,

@@ -1,9 +1,9 @@
 """Log-determinants of sparse SPD matrices.
 
 Three backends with one report format: leaf-peeling Gaussian elimination
-for matrices whose graph is a forest (linear time), a Schur-complement
-recursion for block-tridiagonal matrices, and a dense Cholesky oracle
-that the other two are tested against.
+for matrices whose graph is a forest (linear time), a banded Cholesky
+factorization for block-tridiagonal matrices (linear in n for fixed block
+size), and a dense Cholesky oracle that the other two are tested against.
 """
 
 import math
@@ -11,11 +11,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotAForest, NotPositiveDefinite
-from .linalg import PIVOT_RTOL, spd_factorize, symmetrize
-from .model import SparseSymMatrix
+from .linalg import pivot_floor, spd_factorize
+from .model import SparseSymMatrix, _lower_band
 
 
 @dataclass
@@ -127,9 +127,7 @@ def logdet_tree_bp(m):
     work = m.diag.astype(float).tolist()
     parent = par.tolist()
     parw = pw.tolist()
-    floor = PIVOT_RTOL
-    if n:
-        floor = PIVOT_RTOL * max(1.0, float(np.max(m.diag)))
+    floor = float(pivot_floor(m.diag))
 
     logdet = 0.0
     for v in sched.order.tolist():
@@ -184,21 +182,20 @@ def block_partition(m, k):
 
 
 def logdet_block_tridiagonal(diag_blocks, off_blocks):
-    """Log-determinant via the forward Schur recursion.
+    """Log-determinant by banded Cholesky.
 
-    With diagonal blocks A_1..A_B and super-diagonal blocks C_1..C_{B-1},
-    runs U_1 = A_1, U_{b+1} = A_{b+1} - C_bᵀ U_b⁻¹ C_b and returns
-    Σ logdet(U_b).
+    With k×k diagonal blocks A_1..A_B and super-diagonal blocks
+    C_1..C_{B-1}, the matrix has bandwidth 2k-1. One LAPACK ``dpbtrf``
+    call factors it in O(B·k³); only the upper triangle of each A_b is
+    read.
 
     Raises
     ------
     NotPositiveDefinite
-        If some Schur complement U_b fails to factorize (the implied
-        matrix is not SPD).
+        If a pivot is at or below `linalg.pivot_floor` (the implied matrix
+        is not SPD). ``pivot_index`` is the pivot's global index.
     """
     t0 = time.perf_counter()
-    diag_blocks = [np.asarray(a, dtype=float) for a in diag_blocks]
-    off_blocks = [np.asarray(c, dtype=float) for c in off_blocks]
     nb = len(diag_blocks)
     if nb == 0:
         return LogDetReport(
@@ -209,35 +206,36 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
             f"{nb} diagonal blocks need {nb - 1} off-diagonal blocks, "
             f"got {len(off_blocks)}"
         )
-    k = diag_blocks[0].shape[0]
-    for a in diag_blocks:
-        if a.shape != (k, k):
-            raise DimensionMismatch("diagonal blocks must all be k×k")
-    for c in off_blocks:
-        if c.shape != (k, k):
-            raise DimensionMismatch("off-diagonal blocks must all be k×k")
+    try:
+        a = np.asarray(diag_blocks, dtype=float)
+        c = np.asarray(off_blocks, dtype=float)
+    except ValueError:
+        raise DimensionMismatch("blocks must all be k×k") from None
+    k = a.shape[-1]
+    if a.shape != (nb, k, k):
+        raise DimensionMismatch("diagonal blocks must all be k×k")
+    if nb > 1 and c.shape != (nb - 1, k, k):
+        raise DimensionMismatch("off-diagonal blocks must all be k×k")
 
-    logdet = 0.0
-    u = symmetrize(diag_blocks[0])
-    for b in range(nb):
-        try:
-            factor = spd_factorize(u)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                f"Schur complement {b} is not positive definite: {exc}",
-                pivot_index=exc.pivot_index,
-            ) from None
-        logdet += factor.logdet
-        if b < nb - 1:
-            c = off_blocks[b]
-            u = symmetrize(
-                diag_blocks[b + 1] - c.T @ cho_solve((factor.lower, True), c)
-            )
+    band = _lower_band(a, c.reshape(nb - 1, k, k))
+    floor = pivot_floor(band[0])
+    factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    # dpbtrf stops at the first non-positive pivot, info - 1; the pivots
+    # before it are final and must also clear the floor.
+    computed = factor[0, : info - 1] if info > 0 else factor[0]
+    bad = np.nonzero(computed**2 <= floor)[0]
+    if info > 0 or bad.size:
+        i = int(bad[0]) if bad.size else info - 1
+        raise NotPositiveDefinite(
+            f"Schur complement {i // k} is not positive definite (pivot {i})",
+            pivot_index=i,
+        )
+    logdet = 2.0 * float(np.sum(np.log(factor[0])))
 
     wall = (time.perf_counter() - t0) * 1e3
     return LogDetReport(
         method="block_tridiag",
-        logdet=float(logdet),
+        logdet=logdet,
         n=nb * k,
         stats={"pivots": nb * k, "depth": nb, "wall_ms": wall},
     )

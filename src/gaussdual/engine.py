@@ -2,10 +2,10 @@
 
 Two independent routes to log det(Σ):
 
-* direct: assemble the global precision J and eliminate it (dense or
-  block-tridiagonal Schur recursion); log det(Σ) = −log det(J).
+* direct: eliminate the global precision J, block-tridiagonal with k×k
+  blocks, by banded Cholesky (or densely); log det(Σ) = −log det(J).
 * via duality: log det(Σ) = Σ_ℓ log det(Σ_ℓ) − log det(Σ′⁻¹), with the
-  dual precision Σ′⁻¹ eliminated along its (usually tree) graph.
+  dual precision Σ′⁻¹ eliminated along its tree graph (banded if cyclic).
 
 Their agreement is the substantive correctness check of the whole
 package, and `verify_duality` states it as a relation between the
@@ -23,7 +23,7 @@ from .elimination import (
     logdet_tree_bp,
 )
 from .errors import NotAForest
-from .model import assemble_global_precision, local_logdets
+from .model import _precision_blocks, assemble_global_precision, local_logdets
 
 
 @dataclass
@@ -56,8 +56,8 @@ class DualityCheck:
     messages: list = field(default_factory=list)
 
 
-def _logdet_dual_precision(model, method, dense_fallback):
-    """log det(Σ′⁻¹) of the model's dual, with optional dense fallback."""
+def _logdet_dual_precision(model, method):
+    """log det(Σ′⁻¹) of the model's dual; a cyclic one is banded like J."""
     dual = build_dual(model)
     if method == "dense":
         return logdet_dense(dual.dual_precision).logdet, dual
@@ -66,47 +66,40 @@ def _logdet_dual_precision(model, method, dense_fallback):
     try:
         return logdet_tree_bp(dual.dual_precision).logdet, dual
     except NotAForest:
-        if not dense_fallback:
-            raise
         warnings.warn(
-            "dual sparsity graph has a cycle; falling back to dense "
+            "dual sparsity graph has a cycle; falling back to banded "
             "elimination",
             RuntimeWarning,
             stacklevel=3,
         )
-        return logdet_dense(dual.dual_precision).logdet, dual
+        blocks = block_partition(dual.dual_precision, model.k)
+        return logdet_block_tridiagonal(*blocks).logdet, dual
 
 
-def logdet_sigma_via_duality(model, method="tree_bp", dense_fallback=True):
+def logdet_sigma_via_duality(model, method="tree_bp"):
     """log det(Σ) through the dual: Σ_ℓ logdet(Σ_ℓ) − logdet(Σ′⁻¹).
 
     Parameters
     ----------
     model : LadderModel
     method : {"tree_bp", "dense"}
-        How to eliminate the dual precision matrix.
-    dense_fallback : bool
-        With method="tree_bp", whether a cyclic dual graph silently
-        degrades to dense elimination (with a warning) instead of
-        raising NotAForest.
+        How to eliminate the dual precision matrix. "tree_bp" eliminates
+        a cyclic dual graph by banded Cholesky, with a RuntimeWarning.
     """
-    ld_prime_inv, _ = _logdet_dual_precision(model, method, dense_fallback)
+    ld_prime_inv, _ = _logdet_dual_precision(model, method)
     return float(local_logdets(model).sum() - ld_prime_inv)
 
 
-def logdet_sigma_direct(model, method="dense"):
-    """log det(Σ) from the assembled global precision: −log det(J).
+def logdet_sigma_direct(model, method="block_tridiag"):
+    """log det(Σ) from the global precision: −log det(J).
 
-    ``method`` selects the elimination backend: "dense" Cholesky or the
-    "block_tridiag" Schur recursion over k×k blocks (J is always block-
-    tridiagonal for a ladder).
+    ``method`` selects the elimination backend: "block_tridiag", banded
+    Cholesky of J's k×k blocks, or "dense" Cholesky of the assembled J.
     """
-    j = assemble_global_precision(model)
     if method == "dense":
-        report = logdet_dense(j)
+        report = logdet_dense(assemble_global_precision(model))
     elif method == "block_tridiag":
-        diag_blocks, off_blocks = block_partition(j, model.k)
-        report = logdet_block_tridiagonal(diag_blocks, off_blocks)
+        report = logdet_block_tridiagonal(*_precision_blocks(model))
     else:
         raise ValueError(f"unknown direct method {method!r}")
     return float(-report.logdet)
@@ -122,7 +115,7 @@ def z_constants(model, method="tree_bp"):
     """
     k, n_vars = model.k, model.N
     locals_ = local_logdets(model)
-    ld_prime_inv, _ = _logdet_dual_precision(model, method, True)
+    ld_prime_inv, _ = _logdet_dual_precision(model, method)
 
     logdet_sigma = float(locals_.sum() - ld_prime_inv)
     log_zf = 0.5 * (n_vars * LOG_2PI + logdet_sigma)
@@ -150,7 +143,7 @@ def _dual_digest(dual):
     )
 
 
-def duality_check(model, tol=1e-9, direct_method="dense"):
+def duality_check(model, tol=1e-9, direct_method="block_tridiag"):
     """Compare the dual-domain Z′ against the primal-domain Z.
 
     Z is computed entirely from the primal side (direct elimination of
@@ -160,7 +153,7 @@ def duality_check(model, tol=1e-9, direct_method="dense"):
     """
     k, n_vars = model.k, model.N
     locals_ = local_logdets(model)
-    ld_prime_inv, dual = _logdet_dual_precision(model, "tree_bp", True)
+    ld_prime_inv, dual = _logdet_dual_precision(model, "tree_bp")
     ld_sigma_direct = logdet_sigma_direct(model, method=direct_method)
     ld_sigma_dual = float(locals_.sum() - ld_prime_inv)
 
@@ -190,7 +183,7 @@ def duality_check(model, tol=1e-9, direct_method="dense"):
     )
 
 
-def verify_duality(model, tol=1e-9, direct_method="dense"):
+def verify_duality(model, tol=1e-9, direct_method="block_tridiag"):
     """True iff the primal and dual normalization constants agree.
 
     On failure the discrepancy details are emitted as a warning; both

@@ -62,10 +62,9 @@ def symmetrize(m, rtol=SYMMETRY_RTOL):
     return 0.5 * (m + m.T)
 
 
-def _pivot_floor(m):
-    if m.size == 0:
-        return PIVOT_RTOL
-    return PIVOT_RTOL * max(1.0, float(np.max(np.diagonal(m))))
+def pivot_floor(diag):
+    """PIVOT_RTOL · max(1, max diagonal entry), over the last axis of ``diag``."""
+    return PIVOT_RTOL * np.fmax(1.0, np.max(diag, axis=-1, initial=-np.inf))
 
 
 def spd_factorize(m) -> SpdFactor:
@@ -94,7 +93,7 @@ def spd_factorize(m) -> SpdFactor:
     if n == 0:
         return SpdFactor(np.zeros((0, 0)), 0.0)
 
-    floor = _pivot_floor(m)
+    floor = pivot_floor(np.diagonal(m))
     c, info = lapack.dpotrf(m, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(

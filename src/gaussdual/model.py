@@ -10,9 +10,10 @@ the global precision matrix implied by the product of local factors.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import PIVOT_RTOL, SYMMETRY_RTOL, symmetrize
+from .linalg import SYMMETRY_RTOL, pivot_floor, symmetrize
 
 
 class LadderModel:
@@ -107,7 +108,8 @@ class SparseSymMatrix:
             if np.any(vals == 0.0):
                 raise ValueError("explicit zero entries are not allowed")
             keys = rows * n + cols
-            if np.unique(keys).size != keys.size:
+            # Strictly increasing (row-major) keys cannot repeat: skip the sort.
+            if np.any(np.diff(keys) <= 0) and np.unique(keys).size != keys.size:
                 raise ValueError("duplicate (row, col) entries")
         self.n = n
         self.diag = diag
@@ -231,8 +233,7 @@ def _stacked_cholesky(blocks, context):
         raise NotPositiveDefinite(f"some {context} is not positive definite")
 
     pivots = np.diagonal(lowers, axis1=1, axis2=2) ** 2
-    diags = np.diagonal(blocks, axis1=1, axis2=2)
-    floors = PIVOT_RTOL * np.maximum(1.0, diags.max(axis=1))
+    floors = pivot_floor(np.diagonal(blocks, axis1=1, axis2=2))
     bad = np.nonzero((pivots <= floors[:, None]).any(axis=1))[0]
     if bad.size:
         ell = int(bad[0])
@@ -247,42 +248,46 @@ def _stacked_cholesky(blocks, context):
 def _stacked_inverse(blocks, context):
     lowers = _stacked_cholesky(blocks, context)
     inv = np.linalg.inv(lowers)
-    out = np.einsum("lki,lkj->lij", inv, inv)
+    out = np.swapaxes(inv, 1, 2) @ inv
     return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
-def _coalesce(n, rows, cols, vals):
-    """Sum duplicate (row, col) entries and drop exact zeros."""
-    if rows.size == 0:
-        return rows, cols, vals
-    keys = rows * n + cols
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    summed = np.zeros(uniq.size)
-    np.add.at(summed, inverse, vals)
-    keep = summed != 0.0
-    uniq = uniq[keep]
-    return uniq // n, uniq % n, summed[keep]
+def _block_tridiagonal(stack, k):
+    """Overlap-add a (L, 2k, 2k) stack at stride k, as k×k blocks.
 
-
-def _overlap_add(payload, k, n_total):
-    """Sum a (L, 2k, 2k) stack of blocks into an n_total-sized symmetric
-    matrix, block ``ell`` landing at global offset ``ell * k``.
-
-    Returns (diag, rows, cols, vals) with duplicates coalesced.
+    Returns the (L+1, k, k) diagonal blocks and, as a view, the (L, k, k)
+    super-diagonal blocks of the block-tridiagonal sum.
     """
-    L, m, _ = payload.shape
-    offsets = np.arange(L, dtype=np.int64) * k
+    diag_blocks = np.zeros((stack.shape[0] + 1, k, k))
+    diag_blocks[:-1] += stack[:, :k, :k]
+    diag_blocks[1:] += stack[:, k:, k:]
+    return diag_blocks, stack[:, :k, k:]
 
-    diag = np.zeros(n_total)
-    didx = (offsets[:, None] + np.arange(m, dtype=np.int64)).ravel()
-    np.add.at(diag, didx, np.diagonal(payload, axis1=1, axis2=2).ravel())
 
-    a, b = np.triu_indices(m, 1)
-    rows = (offsets[:, None] + a).ravel()
-    cols = (offsets[:, None] + b).ravel()
-    vals = payload[:, a, b].ravel()
-    rows, cols, vals = _coalesce(n_total, rows, cols, vals)
-    return diag, rows, cols, vals
+def _lower_band(diag_blocks, off_blocks):
+    """LAPACK lower band storage of a symmetric block-tridiagonal matrix.
+
+    From B diagonal and B-1 super-diagonal k×k blocks, returns the
+    (2k, B·k) array ab with ab[r, i] = M[i, i + r], zero past the end.
+    Only the upper triangle of each diagonal block is read.
+    """
+    nb, k, _ = diag_blocks.shape
+    # Row i = b·k + p of M's upper triangle is row p of the panel
+    # [A_b | C_b | 0] from column p on; p + r <= 3k - 2 stays inside it.
+    panel = np.zeros((nb, k, 3 * k))
+    panel[:, :, :k] = diag_blocks
+    panel[:-1, :, k : 2 * k] = off_blocks
+    s0, s1, s2 = panel.strides
+    rows = as_strided(panel, (nb, k, 2 * k), (s0, s1 + s2, s2), writeable=False)
+    return rows.reshape(nb * k, 2 * k).T
+
+
+def _sparse_from_blocks(diag_blocks, off_blocks):
+    """SparseSymMatrix of a block-tridiagonal matrix, entries row-major."""
+    rows_band = _lower_band(diag_blocks, off_blocks).T
+    i, r = np.nonzero(rows_band[:, 1:])
+    diag = rows_band[:, 0].copy()
+    return SparseSymMatrix(diag.size, diag, i, i + r + 1, rows_band[i, r + 1])
 
 
 def assemble_global_precision(model):
@@ -297,9 +302,13 @@ def assemble_global_precision(model):
     NotPositiveDefinite
         If any covariance block fails to factorize.
     """
+    return _sparse_from_blocks(*_precision_blocks(model))
+
+
+def _precision_blocks(model):
+    """Diagonal and coupling k×k blocks of the global precision J."""
     inverses = _stacked_inverse(model.sigma_blocks, "covariance block")
-    diag, rows, cols, vals = _overlap_add(inverses, model.k, model.N)
-    return SparseSymMatrix(model.N, diag, rows, cols, vals)
+    return _block_tridiagonal(inverses, model.k)
 
 
 def local_logdets(model):

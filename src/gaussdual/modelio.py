@@ -25,9 +25,13 @@ def _require(cond, msg):
 
 def _as_matrix(data, dim, what):
     try:
-        m = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ModelFormatError(f"{what} is not a numeric matrix") from None
+        m = np.asarray(data)
+    except ValueError:  # ragged nesting
+        m = np.asarray(None)
+    # Only JSON numbers make an int or float array: strings, booleans,
+    # nulls and objects make other dtypes.
+    _require(m.dtype.kind in "iuf", f"{what} is not a numeric matrix")
+    m = m.astype(float)
     if m.shape != (dim, dim):
         raise DimensionMismatch(
             f"{what} has shape {m.shape}, expected ({dim}, {dim})"
@@ -44,9 +48,12 @@ def model_from_dict(doc):
         doc.get("format_version") == FORMAT_VERSION,
         f"unsupported format_version {doc.get('format_version')!r}",
     )
+    unknown = sorted(set(doc) - {"format_version", "k", "L", "blocks", "metadata"})
+    _require(not unknown, f"unknown top-level keys {unknown}")
     k, L = doc.get("k"), doc.get("L")
-    _require(isinstance(k, int) and k >= 1, f"k must be a positive integer, got {k!r}")
-    _require(isinstance(L, int) and L >= 1, f"L must be a positive integer, got {L!r}")
+    # type(...) is int: JSON true/false parse as bool, a subclass of int.
+    _require(type(k) is int and k >= 1, f"k must be a positive integer, got {k!r}")
+    _require(type(L) is int and L >= 1, f"L must be a positive integer, got {L!r}")
     blocks_doc = doc.get("blocks")
     _require(isinstance(blocks_doc, list), "blocks must be a list")
     _require(
@@ -89,7 +96,7 @@ def load_model(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
     return model_from_dict(doc)
 
@@ -154,6 +161,6 @@ def load_dual(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
     return dual_from_dict(doc)

@@ -76,6 +76,23 @@ def ladder2_model():
     return LadderModel(3, 2, [LADDER2_S1, LADDER2_S2])
 
 
+def margin_models():
+    """Twenty k=3, L=6 random_tree models whose blocks are diagonally
+    dominant by a margin of only 1e-8: each diagonal entry is its row's
+    off-diagonal absolute sum plus 1e-8."""
+    from gaussdual import GenSpec, LadderModel, generate
+
+    models = []
+    for seed in range(20):
+        m = generate(GenSpec(k=3, L=6, seed=seed, structure="random_tree"))
+        blocks = np.array(m.sigma_blocks)
+        idx = np.arange(6)
+        blocks[:, idx, idx] = 0.0
+        blocks[:, idx, idx] = np.abs(blocks).sum(axis=2) + 1e-8
+        models.append(LadderModel(3, 6, blocks))
+    return models
+
+
 def det_cofactor(m):
     """Determinant by first-row cofactor expansion. O(n!), n <= 8 or so."""
     m = np.asarray(m, dtype=float)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaussdual.cli import main
-from helpers import EXAMPLES_DIR, LADDER1_BLOCK
+from helpers import EXAMPLES_DIR, LADDER1_BLOCK, margin_models
 
 EXAMPLE1 = str(EXAMPLES_DIR / "example1.json")
 EXAMPLE2 = str(EXAMPLES_DIR / "example2.json")
@@ -75,11 +75,76 @@ class TestLogdetCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["logdet"] == pytest.approx(-8.0 * math.log(2.0), abs=1e-12)
 
+    def test_small_dominance_margin_exits_0(self, tmp_path, capsys):
+        # At a 1e-8 diagonal-dominance margin, the direct route once raised
+        # a symmetry error on its own round-off and exited 2.
+        for i, model in enumerate(margin_models()):
+            path = write_model(tmp_path / f"m{i}.json", model.sigma_blocks, k=3)
+            assert main(["logdet", path, "--method", "direct-blocktri"]) == 0
+
+    @pytest.mark.parametrize("method", ["direct-dense", "duality-dense"])
+    def test_dense_methods_respect_cap(self, tmp_path, capsys, monkeypatch, method):
+        monkeypatch.setenv("GAUSSDUAL_DENSE_CAP", "30")
+        path = write_model(tmp_path / "big.json", [LADDER1_BLOCK] * 20, k=2)
+        assert main(["logdet", path, "--method", method]) == 2
+        assert "exceeds dense cap 30" in capsys.readouterr().err
+        assert main(["logdet", path, "--method", "direct-blocktri"]) == 0
+
     def test_indefinite_model_exits_1(self, tmp_path, capsys):
         bad = np.eye(4)
         bad[0, 1] = bad[1, 0] = 2.0
         path = write_model(tmp_path / "bad.json", [bad], k=2)
         assert main(["logdet", path]) == 1
+
+
+def _deep_json(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
+def _with_top_level(path, **extra):
+    doc = {"format_version": "1", "k": 2, "L": 1}
+    doc["blocks"] = [{"covariance": LADDER1_BLOCK.tolist()}]
+    doc.update(extra)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: p.mkdir(),
+        _deep_json,
+        lambda p: _with_top_level(
+            p, k=True, blocks=[{"covariance": [[2.0, 1.0], [1.0, 2.0]]}]
+        ),
+        lambda p: _with_top_level(
+            p, blocks=[{"covariance": [[str(v) for v in row] for row in LADDER1_BLOCK]}]
+        ),
+        lambda p: _with_top_level(p, comment="not in the schema"),
+    ],
+    ids=["directory", "deep-nesting", "bool-k", "numeric-strings", "unknown-key"],
+)
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make):
+    path = tmp_path / "model.json"
+    make(path)
+    assert main(["logdet", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestVerifyDefaultRoute:
+    def test_verify_never_densifies(self, tmp_path, capsys, monkeypatch):
+        # Both of verify's routes are banded or tree elimination; neither
+        # may reach the N×N dense oracle.
+        import gaussdual.engine
+
+        def refuse(m):
+            raise AssertionError("dense elimination reached")
+
+        monkeypatch.setattr(gaussdual.engine, "logdet_dense", refuse)
+        path = write_model(tmp_path / "big.json", [LADDER1_BLOCK] * 20, k=2)
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
 
 
 class TestDualizeCommand:
