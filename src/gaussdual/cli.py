@@ -30,7 +30,7 @@ from .errors import (
 )
 from .generate import STRUCTURES, GenSpec, generate
 from .model import validate
-from .modelio import dual_to_dict, load_model, model_to_dict, save_model
+from .modelio import dual_to_dict, load_model, save_model, write_model
 
 DENSE_CAP_ENV = "GAUSSDUAL_DENSE_CAP"
 DEFAULT_DENSE_CAP = 4000
@@ -205,7 +205,7 @@ def cmd_gen(args):
     if args.out:
         save_model(args.out, model, metadata)
     else:
-        print(json.dumps(model_to_dict(model, metadata), indent=2))
+        write_model(sys.stdout, model, metadata)
     return 0
 
 

@@ -3,7 +3,8 @@
 A ladder model couples N = (L+1)k zero-mean variables through L local
 covariance blocks of size 2k; consecutive blocks overlap in k variables.
 This module holds the model container, structural validation (positive
-definiteness, acyclicity of the block sparsity graphs), and assembly of
+definiteness, acyclicity of the block sparsity graphs, counted as
+connected components over the whole block stack), and assembly of
 the global precision matrix implied by the product of local factors.
 """
 
@@ -11,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .linalg import SYMMETRY_RTOL, pivot_floor, symmetrize
@@ -171,28 +174,6 @@ class ValidationReport:
         )
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path halving."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        """Merge the sets of a and b; False if already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def sparsity_graph(m, zero_tol=0.0):
     """Graph of a symmetric matrix: entries above ``zero_tol`` are edges.
 
@@ -202,13 +183,43 @@ def sparsity_graph(m, zero_tol=0.0):
     return SparseSymMatrix.from_dense(m, zero_tol=zero_tol)
 
 
+def _components(n, rows, cols):
+    """Number of connected components and their labels, for n vertices."""
+    # CSR arrays built here: scipy's COO conversion dominates small graphs.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    order = np.argsort(rows, kind="stable")
+    graph = csr_matrix((np.ones(rows.size), cols[order], indptr), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
 def is_forest(g):
-    """True iff the edge set of ``g`` contains no cycle."""
-    uf = UnionFind(g.n)
-    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
-        if not uf.union(i, j):
-            return False
-    return True
+    """True iff the edge set of ``g`` contains no cycle.
+
+    A simple graph is a forest iff it has n - (component count) edges.
+    """
+    return g.nnz == g.n - _components(g.n, g.rows, g.cols)[0]
+
+
+def _block_forests(stack, zero_tol):
+    """Which blocks of a (L, m, m) stack have a cycle-free sparsity graph.
+
+    Pair (i, j), i < j, of block ell is an edge iff |stack[ell, i, j]| >
+    zero_tol. All L graphs are counted at once, as one block-diagonal
+    graph on L·m vertices, whose components never span two blocks.
+
+    Returns the length-L boolean array and the edges (ell, i, j), block
+    by block and row-major within a block.
+    """
+    L, m, _ = stack.shape
+    iu, ju = np.triu_indices(m, 1)
+    ell, e = np.nonzero(np.abs(stack[:, iu, ju]) > zero_tol)
+    i, j = iu[e], ju[e]
+    n_comp, labels = _components(L * m, ell * m + i, ell * m + j)
+    block_of = np.empty(n_comp, dtype=np.intp)
+    block_of[labels] = np.arange(L * m) // m
+    components = np.bincount(block_of, minlength=L)
+    return np.bincount(ell, minlength=L) == m - components, (ell, i, j)
 
 
 def _stacked_cholesky(blocks, context):
@@ -246,10 +257,15 @@ def _stacked_cholesky(blocks, context):
 
 
 def _stacked_inverse(blocks, context):
-    lowers = _stacked_cholesky(blocks, context)
-    inv = np.linalg.inv(lowers)
+    inv = np.linalg.inv(_stacked_cholesky(blocks, context))
     out = np.swapaxes(inv, 1, 2) @ inv
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+    del inv
+    # In place: at most two stack-sized arrays are live at once, so fewer
+    # fresh pages are touched per call. numpy buffers the overlapping
+    # transpose, so the values equal 0.5 * (out + outᵀ) bit for bit.
+    out += np.swapaxes(out, 1, 2)
+    out *= 0.5
+    return out
 
 
 def _block_tridiagonal(stack, k):
@@ -333,7 +349,14 @@ def validate(model, zero_tol=0.0):
         Flags for: every block SPD; every block's precision graph cyclic
         (informational); every block's covariance graph acyclic; and the
         union of all block graphs, mapped to global variables, acyclic.
+
+    Raises
+    ------
+    ValueError
+        If ``zero_tol`` is negative.
     """
+    if zero_tol < 0:
+        raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
     messages = []
 
     a1 = True
@@ -346,40 +369,25 @@ def validate(model, zero_tol=0.0):
 
     a2 = False
     if inverses is not None:
-        a2 = all(
-            not is_forest(sparsity_graph(inv, zero_tol)) for inv in inverses
-        )
+        a2 = not _block_forests(inverses, zero_tol)[0].any()
         if not a2:
             messages.append(
                 "some block precision graph is already cycle-free; "
                 "dualization is unnecessary for it"
             )
 
-    block_graphs = [
-        sparsity_graph(b, zero_tol) for b in model.sigma_blocks
-    ]
-    a3_blocks = True
-    for ell, g in enumerate(block_graphs):
-        if not is_forest(g):
-            a3_blocks = False
-            messages.append(f"covariance block {ell} has a cycle")
+    acyclic, (ell, i, j) = _block_forests(model.sigma_blocks, zero_tol)
+    cyclic = np.nonzero(~acyclic)[0]
+    a3_blocks = cyclic.size == 0
+    messages.extend(f"covariance block {b} has a cycle" for b in cyclic)
 
     a3_union = False
     if a3_blocks:
         k, n = model.k, model.N
-        rows = np.concatenate(
-            [g.rows + ell * k for ell, g in enumerate(block_graphs)]
-        )
-        cols = np.concatenate(
-            [g.cols + ell * k for ell, g in enumerate(block_graphs)]
-        )
         # Structural union: an edge present in two overlapping blocks is
         # one edge, whatever its weights.
-        keys = np.unique(rows * n + cols)
-        union = SparseSymMatrix(
-            n, np.zeros(n), keys // n, keys % n, np.ones(keys.size)
-        )
-        a3_union = is_forest(union)
+        keys = np.unique((i + ell * k) * n + (j + ell * k))
+        a3_union = keys.size == n - _components(n, keys // n, keys % n)[0]
         if not a3_union:
             messages.append("union of block graphs has a cycle")
 

@@ -4,6 +4,12 @@ Model files carry k, L and one matrix per block, given either as a
 covariance or as a precision matrix; precision input is inverted once at
 load so the in-memory form is always covariance. Floats are written with
 full precision, so load → save → load is value-identical.
+
+Loading parses all blocks as one (L, 2k, 2k) array and checks it whole;
+only when that check fails are the blocks checked one by one, to name
+the first bad one. `save_model` writes the header indented and then one
+block per line, which the C JSON encoder produces; any JSON layout of the
+same schema loads.
 """
 
 import json
@@ -60,34 +66,56 @@ def model_from_dict(doc):
         len(blocks_doc) == L, f"expected {L} blocks, found {len(blocks_doc)}"
     )
 
-    blocks = []
+    kinds, matrices = [], []
     for ell, entry in enumerate(blocks_doc):
         _require(isinstance(entry, dict), f"block {ell} must be an object")
-        keys = set(entry) & {"covariance", "precision"}
+        has_cov = "covariance" in entry
         _require(
-            len(keys) == 1,
+            has_cov != ("precision" in entry),
             f"block {ell} must have exactly one of 'covariance'/'precision'",
         )
-        kind = keys.pop()
-        m = _as_matrix(entry[kind], 2 * k, f"block {ell} {kind}")
-        blocks.append(spd_inverse(m) if kind == "precision" else m)
+        kind = "covariance" if has_cov else "precision"
+        kinds.append(kind)
+        matrices.append(entry[kind])
+
+    dim = 2 * k
+    try:
+        blocks = np.asarray(matrices)
+    except ValueError:  # ragged nesting
+        blocks = None
+    if not (
+        blocks is not None
+        and blocks.dtype.kind in "iuf"
+        and blocks.shape == (L, dim, dim)
+        and np.isfinite(blocks).all()
+    ):
+        # Some block is malformed: check one at a time to name the first.
+        blocks = np.array(
+            [
+                _as_matrix(m, dim, f"block {ell} {kind}")
+                for ell, (m, kind) in enumerate(zip(matrices, kinds))
+            ]
+        )
+    blocks = blocks.astype(float, copy=False)
+    for ell, kind in enumerate(kinds):
+        if kind == "precision":
+            blocks[ell] = spd_inverse(blocks[ell])
 
     metadata = doc.get("metadata") or {}
     _require(isinstance(metadata, dict), "metadata must be an object")
     return LadderModel(k, L, blocks), dict(metadata)
 
 
-def model_to_dict(model, metadata=None):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "k": model.k,
-        "L": model.L,
-        "blocks": [
-            {"covariance": b.tolist()} for b in model.sigma_blocks
-        ],
-    }
+def _header(model, metadata):
+    doc = {"format_version": FORMAT_VERSION, "k": model.k, "L": model.L}
     if metadata:
         doc["metadata"] = dict(metadata)
+    return doc
+
+
+def model_to_dict(model, metadata=None):
+    doc = _header(model, metadata)
+    doc["blocks"] = [{"covariance": b} for b in model.sigma_blocks.tolist()]
     return doc
 
 
@@ -101,10 +129,22 @@ def load_model(path):
     return model_from_dict(doc)
 
 
+def write_model(fh, model, metadata=None):
+    """Write a model file to the text stream ``fh``, one block per line.
+
+    The header is indented by 2; each block is one compact line, so the
+    C JSON encoder writes it (``indent`` forces the Python encoder).
+    """
+    head = json.dumps(_header(model, metadata), indent=2)
+    fh.write(head[: -len("\n}")] + ',\n  "blocks": [\n')
+    for ell, b in enumerate(model.sigma_blocks.tolist()):
+        fh.write((",\n" if ell else "") + '    {"covariance": ' + json.dumps(b) + "}")
+    fh.write("\n  ]\n}\n")
+
+
 def save_model(path, model, metadata=None):
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, metadata), fh, indent=2)
-        fh.write("\n")
+        write_model(fh, model, metadata)
 
 
 def dual_to_dict(dual):

@@ -141,3 +141,97 @@ def random_spd_dense(n, rng):
     """Dense SPD matrix: A @ A.T plus a ridge."""
     a = rng.normal(size=(n, n))
     return a @ a.T + n * np.eye(n)
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; False if already joined."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def is_forest_union_find(g):
+    """Cycle test by union-find: an edge inside one set closes a cycle."""
+    uf = UnionFind(g.n)
+    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
+        if not uf.union(i, j):
+            return False
+    return True
+
+
+def validate_reference(model, zero_tol=0.0):
+    """`validate` block by block: one sparsity graph and one union-find
+    pass per block, then one over the union. Oracle for the stacked
+    component counts of `gaussdual.validate`."""
+    from gaussdual import NotPositiveDefinite, SparseSymMatrix, ValidationReport
+    from gaussdual import sparsity_graph
+    from gaussdual.model import _stacked_inverse
+
+    messages = []
+
+    a1 = True
+    try:
+        inverses = _stacked_inverse(model.sigma_blocks, "covariance block")
+    except NotPositiveDefinite as exc:
+        a1 = False
+        inverses = None
+        messages.append(str(exc))
+
+    a2 = False
+    if inverses is not None:
+        a2 = all(
+            not is_forest_union_find(sparsity_graph(inv, zero_tol))
+            for inv in inverses
+        )
+        if not a2:
+            messages.append(
+                "some block precision graph is already cycle-free; "
+                "dualization is unnecessary for it"
+            )
+
+    block_graphs = [sparsity_graph(b, zero_tol) for b in model.sigma_blocks]
+    a3_blocks = True
+    for ell, g in enumerate(block_graphs):
+        if not is_forest_union_find(g):
+            a3_blocks = False
+            messages.append(f"covariance block {ell} has a cycle")
+
+    a3_union = False
+    if a3_blocks:
+        k, n = model.k, model.N
+        rows = np.concatenate(
+            [g.rows + ell * k for ell, g in enumerate(block_graphs)]
+        )
+        cols = np.concatenate(
+            [g.cols + ell * k for ell, g in enumerate(block_graphs)]
+        )
+        keys = np.unique(rows * n + cols)
+        union = SparseSymMatrix(
+            n, np.zeros(n), keys // n, keys % n, np.ones(keys.size)
+        )
+        a3_union = is_forest_union_find(union)
+        if not a3_union:
+            messages.append("union of block graphs has a cycle")
+
+    return ValidationReport(
+        assumption1_ok=a1,
+        assumption2_cycles_present=a2,
+        assumption3_blocks_acyclic=a3_blocks,
+        assumption3_union_acyclic=a3_union,
+        messages=messages,
+    )

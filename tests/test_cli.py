@@ -224,6 +224,14 @@ class TestGenCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["k"] == 1 and doc["L"] == 2
 
+    def test_gen_stdout_matches_out_file(self, tmp_path, capsys):
+        args = ["gen", "--k", "3", "--l", "5", "--seed", "4", "--name", "same"]
+        out = tmp_path / "gen.json"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_gen_bad_weight_range(self, capsys):
         args = ["gen", "--k", "2", "--l", "3", "--weight-range", "0", "1"]
         assert main(args) == 2

@@ -17,7 +17,39 @@ from gaussdual import (
     spd_inverse,
     validate,
 )
-from helpers import LADDER1_BLOCK, LADDER2_S1, ladder1_model, ladder2_model
+from helpers import (
+    LADDER1_BLOCK,
+    LADDER2_S1,
+    ladder1_model,
+    ladder2_model,
+    validate_reference,
+)
+
+
+def masked_dense_model(k, L, rng):
+    """Diagonally dominant blocks with a random symmetric zero pattern,
+    dense enough that most block graphs have cycles."""
+    m = 2 * k
+    blocks = rng.uniform(-1.0, 1.0, size=(L, m, m))
+    blocks *= rng.random((L, m, m)) < 0.5
+    blocks = np.triu(blocks, 1)
+    blocks += np.swapaxes(blocks, 1, 2)
+    idx = np.arange(m)
+    blocks[:, idx, idx] = np.abs(blocks).sum(axis=2) + 0.5
+    return LadderModel(k, L, blocks)
+
+
+def union_cycle_model():
+    """Each block alone is a path, but block 1 joins the shared pair
+    through variable 0 and block 2 joins it through variable 4, closing
+    a 4-cycle in the union graph."""
+    b1 = np.eye(4) * 3.0
+    b1[0, 2] = b1[2, 0] = 1.0
+    b1[0, 3] = b1[3, 0] = 1.0
+    b2 = np.eye(4) * 3.0
+    b2[0, 2] = b2[2, 0] = 1.0
+    b2[1, 2] = b2[2, 1] = 1.0
+    return LadderModel(2, 2, [b1, b2])
 
 
 class TestLadderModel:
@@ -176,17 +208,7 @@ class TestValidate:
         assert not report.ok
 
     def test_union_cycle_without_block_cycles(self):
-        # Each block alone is a path, but block 1 joins the shared pair
-        # through variable 0 and block 2 joins it through variable 4,
-        # closing a 4-cycle in the union graph.
-        b1 = np.eye(4) * 3.0
-        b1[0, 2] = b1[2, 0] = 1.0
-        b1[0, 3] = b1[3, 0] = 1.0
-        b2 = np.eye(4) * 3.0
-        b2[0, 2] = b2[2, 0] = 1.0
-        b2[1, 2] = b2[2, 1] = 1.0
-        model = LadderModel(2, 2, [b1, b2])
-        report = validate(model)
+        report = validate(union_cycle_model())
         assert report.assumption3_blocks_acyclic
         assert not report.assumption3_union_acyclic
 
@@ -201,6 +223,33 @@ class TestValidate:
         report = validate(model)
         assert report.assumption3_blocks_acyclic
         assert report.assumption3_union_acyclic
+
+    def test_matches_union_find_reference(self):
+        rng = np.random.default_rng(11)
+        indefinite = np.eye(4)
+        indefinite[0, 1] = indefinite[1, 0] = 2.0
+        models = [
+            generate(
+                GenSpec(k=1 + seed % 6, L=1 + seed % 8, seed=seed, structure=s)
+            )
+            for s in ("star_pattern", "random_tree", "diagonal")
+            for seed in range(30)
+        ]
+        models += [masked_dense_model(1 + t % 4, 1 + t % 5, rng) for t in range(30)]
+        models += [
+            union_cycle_model(),
+            LadderModel(2, 3, [LADDER1_BLOCK, indefinite, 4 * np.eye(4) + 1]),
+            LadderModel(2, 1, [LADDER1_BLOCK]),
+        ]
+        for model in models:
+            for zero_tol in (0.0, 0.3):
+                got = validate(model, zero_tol)
+                want = validate_reference(model, zero_tol)
+                assert got == want, (model, zero_tol)
+
+    def test_negative_zero_tol_rejected(self):
+        with pytest.raises(ValueError, match="zero_tol"):
+            validate(ladder1_model(), zero_tol=-1.0)
 
 
 class TestAssembleGlobalPrecision:

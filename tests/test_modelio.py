@@ -7,6 +7,7 @@ import pytest
 from gaussdual import (
     DimensionMismatch,
     GenSpec,
+    LadderModel,
     ModelFormatError,
     build_dual,
     generate,
@@ -116,6 +117,48 @@ class TestLoad:
             model_from_dict(doc)
 
 
+def corrupt_block_3(mutate):
+    """Text of a valid five-block k=2 file whose block 3 ``mutate`` spoils."""
+    blocks = [LADDER1_BLOCK.tolist() for _ in range(5)]
+    mutate(blocks[3])
+    return json.dumps(doc_for([{"covariance": b} for b in blocks]))
+
+
+class TestLoadErrorsNameTheBlock:
+    @pytest.mark.parametrize(
+        "mutate,error",
+        [
+            (lambda b: b.append([0.0] * 4), DimensionMismatch),  # 5 x 4
+            (lambda b: b[1].pop(), ModelFormatError),  # ragged rows
+            (lambda b: b[2].__setitem__(2, "2.0"), ModelFormatError),
+            (lambda b: b[0].__setitem__(1, float("nan")), ModelFormatError),
+        ],
+        ids=["wrong-shape", "ragged-rows", "string-entry", "nan"],
+    )
+    def test_corrupt_block_3(self, tmp_path, mutate, error):
+        path = tmp_path / "model.json"
+        path.write_text(corrupt_block_3(mutate))
+        with pytest.raises(error, match="block 3"):
+            load_model(path)
+
+    def test_mixed_kinds_load_as_before(self, tmp_path):
+        model = generate(GenSpec(k=2, L=5, seed=3, structure="random_tree"))
+        entries, expected = [], []
+        for ell, b in enumerate(model.sigma_blocks):
+            if ell % 2:
+                prec = spd_inverse(b)
+                entries.append({"precision": prec.tolist()})
+                expected.append(spd_inverse(prec))
+            else:
+                entries.append({"covariance": b.tolist()})
+                expected.append(b)
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc_for(entries)))
+        loaded, _ = load_model(path)
+        want = LadderModel(2, 5, expected).sigma_blocks
+        assert np.array_equal(loaded.sigma_blocks, want)
+
+
 class TestRoundTrip:
     def test_model_round_trip_is_exact(self, tmp_path):
         model = generate(GenSpec(k=3, L=5, seed=123, structure="random_tree"))
@@ -128,6 +171,27 @@ class TestRoundTrip:
         path2 = tmp_path / "model2.json"
         save_model(path2, again, metadata=meta)
         assert json.loads(path.read_text()) == json.loads(path2.read_text())
+
+    def test_one_line_per_block(self, tmp_path):
+        model = generate(GenSpec(k=2, L=6, seed=1))
+        path = tmp_path / "model.json"
+        save_model(path, model, metadata={"name": "lines"})
+        lines = path.read_text().splitlines()
+        block_lines = [line for line in lines if '"covariance"' in line]
+        assert len(block_lines) == 6
+        for line, b in zip(block_lines, model.sigma_blocks):
+            assert json.loads(line.strip().rstrip(","))["covariance"] == b.tolist()
+
+    def test_old_layout_examples_resave_to_same_model(self, tmp_path):
+        for name in ("example1.json", "example2.json"):
+            old_layout = EXAMPLES_DIR / name
+            model, meta = load_model(old_layout)
+            path = tmp_path / name
+            save_model(path, model, meta)
+            assert path.stat().st_size < old_layout.stat().st_size
+            again, meta_again = load_model(path)
+            assert np.array_equal(again.sigma_blocks, model.sigma_blocks)
+            assert meta_again == meta
 
     def test_dict_round_trip(self):
         model = ladder1_model()
