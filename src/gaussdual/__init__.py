@@ -7,7 +7,7 @@ size N−2k whose log-determinant, together with the blocks' own, gives
 log det(Σ) exactly and in linear time.
 """
 
-from .dual import DualModel, build_dual, dual_is_tree, sign_congruence
+from .dual import DualModel, build_dual, dual_is_tree
 from .elimination import (
     EliminationOrder,
     LogDetReport,
@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .generate import STRUCTURES, GenSpec, generate
-from .linalg import SpdFactor, is_spd, spd_factorize, spd_inverse, symmetrize
+from .linalg import SpdFactor, spd_factorize, spd_inverse, symmetrize
 from .model import (
     LadderModel,
     SparseSymMatrix,
@@ -46,7 +46,7 @@ from .model import (
     sparsity_graph,
     validate,
 )
-from .modelio import load_dual, load_model, save_dual, save_model
+from .modelio import load_model, save_model
 
 __version__ = "0.1.0"
 
@@ -75,8 +75,6 @@ __all__ = [
     "duality_check",
     "generate",
     "is_forest",
-    "is_spd",
-    "load_dual",
     "load_model",
     "local_logdets",
     "logdet_block_tridiagonal",
@@ -84,9 +82,7 @@ __all__ = [
     "logdet_sigma_direct",
     "logdet_sigma_via_duality",
     "logdet_tree_bp",
-    "save_dual",
     "save_model",
-    "sign_congruence",
     "sparsity_graph",
     "spd_factorize",
     "spd_inverse",

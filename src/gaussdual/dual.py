@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .model import SparseSymMatrix, _block_tridiagonal, _sparse_from_blocks, is_forest
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -50,29 +49,15 @@ class DualModel:
     L: int
 
 
-def sign_congruence(block, k):
-    """Apply the half-flip congruence D·block·D with D = diag(-1×k, +1×k).
-
-    Entries within a half are unchanged; entries coupling the two halves
-    change sign. The determinant is untouched since det(D) = ±1.
-    """
-    block = np.asarray(block, dtype=float)
-    if block.shape != (2 * k, 2 * k):
-        raise DimensionMismatch(
-            f"expected a ({2 * k}, {2 * k}) block, got shape {block.shape}"
-        )
-    s = np.concatenate([-np.ones(k), np.ones(k)])
-    return block * np.outer(s, s)
-
-
 def build_dual(model):
     """Construct the dual Gaussian of a ladder model.
 
-    The dual precision is the overlap-add of the sign-congruent
-    covariance blocks (covariance in place of precision, same embedding
-    as the primal assembly), restricted to the interior variables by
-    deleting the pinned rows and columns: the first and last block row.
-    The congruence negates exactly the coupling blocks.
+    The dual precision is the overlap-add of the covariance blocks
+    (covariance in place of precision, same embedding as the primal
+    assembly) with every coupling block negated, restricted to the
+    interior variables by deleting the pinned rows and columns: the
+    first and last block row. The negation is the congruence D·Σ_ℓ·D,
+    D = diag(-1×k, +1×k), so it leaves every determinant unchanged.
     """
     k, L, N = model.k, model.L, model.N
     diag_blocks, off_blocks = _block_tridiagonal(model.sigma_blocks, k)

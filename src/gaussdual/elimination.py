@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotAForest, NotPositiveDefinite
-from .linalg import pivot_floor, spd_factorize
+from .linalg import _cholesky, _first_bad_pivot, _logdet, pivot_floor, symmetrize
 from .model import SparseSymMatrix, _lower_band
 
 
@@ -220,12 +220,8 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
     band = _lower_band(a, c.reshape(nb - 1, k, k))
     floor = pivot_floor(band[0])
     factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-    # dpbtrf stops at the first non-positive pivot, info - 1; the pivots
-    # before it are final and must also clear the floor.
-    computed = factor[0, : info - 1] if info > 0 else factor[0]
-    bad = np.nonzero(computed**2 <= floor)[0]
-    if info > 0 or bad.size:
-        i = int(bad[0]) if bad.size else info - 1
+    i = _first_bad_pivot(factor[0], floor, info)
+    if i is not None:
         raise NotPositiveDefinite(
             f"Schur complement {i // k} is not positive definite (pivot {i})",
             pivot_index=i,
@@ -244,8 +240,9 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
 def logdet_dense(m):
     """Dense Cholesky log-determinant; the oracle for the other backends."""
     t0 = time.perf_counter()
-    dense = m.to_dense() if isinstance(m, SparseSymMatrix) else np.asarray(m, float)
-    logdet = spd_factorize(dense).logdet
+    # A SparseSymMatrix is symmetric by construction: no symmetrized copy.
+    dense = m.to_dense() if isinstance(m, SparseSymMatrix) else symmetrize(m)
+    logdet = float(_logdet(_cholesky(dense, None)))
     wall = (time.perf_counter() - t0) * 1e3
     return LogDetReport(
         method="dense",

@@ -9,21 +9,19 @@ Two independent routes to log det(Σ):
 
 Their agreement is the substantive correctness check of the whole
 package, and `verify_duality` states it as a relation between the
-primal and dual normalization constants.
+primal and dual normalization constants. Both routes start from one
+Cholesky factorization of the covariance stack: the dual route takes
+the local log-determinants from it, the direct route J's blocks.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 from .dual import LOG_2PI, build_dual
-from .elimination import (
-    block_partition,
-    logdet_block_tridiagonal,
-    logdet_dense,
-    logdet_tree_bp,
-)
+from .elimination import logdet_block_tridiagonal, logdet_dense, logdet_tree_bp
 from .errors import NotAForest
-from .model import _precision_blocks, assemble_global_precision, local_logdets
+from .linalg import _inverse, _logdet
+from .model import _block_tridiagonal, _covariance_factor, _sparse_from_blocks
 
 
 @dataclass
@@ -58,22 +56,76 @@ class DualityCheck:
 
 def _logdet_dual_precision(model, method):
     """log det(Σ′⁻¹) of the model's dual; a cyclic one is banded like J."""
-    dual = build_dual(model)
+    dual = build_dual(model).dual_precision
     if method == "dense":
-        return logdet_dense(dual.dual_precision).logdet, dual
-    if method != "tree_bp":
-        raise ValueError(f"unknown dual method {method!r}")
+        return logdet_dense(dual).logdet
     try:
-        return logdet_tree_bp(dual.dual_precision).logdet, dual
+        return logdet_tree_bp(dual).logdet
     except NotAForest:
         warnings.warn(
             "dual sparsity graph has a cycle; falling back to banded "
             "elimination",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-        blocks = block_partition(dual.dual_precision, model.k)
-        return logdet_block_tridiagonal(*blocks).logdet, dual
+    # Σ′⁻¹ is the overlap-add of the blocks at stride k, couplings
+    # negated, without the first and last block row.
+    diag_blocks, off_blocks = _block_tridiagonal(model.sigma_blocks, model.k)
+    return logdet_block_tridiagonal(diag_blocks[1:-1], -off_blocks[1:-1]).logdet
+
+
+def _check_method(route, method):
+    known = {"dual": ("tree_bp", "dense"), "direct": ("block_tridiag", "dense")}
+    if method not in known[route]:
+        raise ValueError(f"unknown {route} method {method!r}")
+
+
+def _logdet_direct(lower, k, method):
+    """log det(Σ) = −log det(J), J's blocks inverted from the factor ``lower``.
+
+    The inverse overwrites ``lower``.
+    """
+    blocks = _block_tridiagonal(_inverse(lower), k)
+    if method == "dense":
+        return float(-logdet_dense(_sparse_from_blocks(*blocks)).logdet)
+    return float(-logdet_block_tridiagonal(*blocks).logdet)
+
+
+def _pass(model, dual_method, direct_method=None):
+    """Both routes over one factorization of the covariance stack.
+
+    The stack is factored first, so a bad covariance block is named
+    before either route runs. Returns the length-L local log-dets,
+    log det(Σ′⁻¹) and, if ``direct_method`` is given, log det(Σ) by the
+    direct route.
+    """
+    _check_method("dual", dual_method)
+    if direct_method is not None:
+        _check_method("direct", direct_method)
+    lower = _covariance_factor(model)
+    locals_ = _logdet(lower)
+    ld_direct = None
+    if direct_method is not None:
+        ld_direct = _logdet_direct(lower, model.k, direct_method)
+    del lower  # freed before the dual is built
+    return locals_, _logdet_dual_precision(model, dual_method), ld_direct
+
+
+def _z_report(model, locals_, ld_prime_inv, logdet_sigma):
+    """Z bookkeeping: log Z_f from ``logdet_sigma``, log Z′ from the dual."""
+    k, n_vars = model.k, model.N
+    log_zf = 0.5 * (n_vars * LOG_2PI + logdet_sigma)
+    log_zl = [0.5 * (2 * k * LOG_2PI + v) for v in locals_.tolist()]
+    log_z = log_zf - sum(log_zl)
+    log_zprime = (k + n_vars / 2.0) * LOG_2PI - 0.5 * ld_prime_inv
+    residual = log_zprime - (n_vars * LOG_2PI + log_z)
+    return ZReport(
+        log_zf=log_zf,
+        log_zl=log_zl,
+        log_z=log_z,
+        log_zprime=log_zprime,
+        duality_residual=residual,
+    )
 
 
 def logdet_sigma_via_duality(model, method="tree_bp"):
@@ -86,8 +138,8 @@ def logdet_sigma_via_duality(model, method="tree_bp"):
         How to eliminate the dual precision matrix. "tree_bp" eliminates
         a cyclic dual graph by banded Cholesky, with a RuntimeWarning.
     """
-    ld_prime_inv, _ = _logdet_dual_precision(model, method)
-    return float(local_logdets(model).sum() - ld_prime_inv)
+    locals_, ld_prime_inv, _ = _pass(model, method)
+    return float(locals_.sum() - ld_prime_inv)
 
 
 def logdet_sigma_direct(model, method="block_tridiag"):
@@ -96,13 +148,8 @@ def logdet_sigma_direct(model, method="block_tridiag"):
     ``method`` selects the elimination backend: "block_tridiag", banded
     Cholesky of J's k×k blocks, or "dense" Cholesky of the assembled J.
     """
-    if method == "dense":
-        report = logdet_dense(assemble_global_precision(model))
-    elif method == "block_tridiag":
-        report = logdet_block_tridiagonal(*_precision_blocks(model))
-    else:
-        raise ValueError(f"unknown direct method {method!r}")
-    return float(-report.logdet)
+    _check_method("direct", method)
+    return _logdet_direct(_covariance_factor(model), model.k, method)
 
 
 def z_constants(model, method="tree_bp"):
@@ -113,23 +160,9 @@ def z_constants(model, method="tree_bp"):
     here checks bookkeeping, not cross-path agreement (that is
     `verify_duality`'s job).
     """
-    k, n_vars = model.k, model.N
-    locals_ = local_logdets(model)
-    ld_prime_inv, _ = _logdet_dual_precision(model, method)
-
+    locals_, ld_prime_inv, _ = _pass(model, method)
     logdet_sigma = float(locals_.sum() - ld_prime_inv)
-    log_zf = 0.5 * (n_vars * LOG_2PI + logdet_sigma)
-    log_zl = [0.5 * (2 * k * LOG_2PI + v) for v in locals_.tolist()]
-    log_z = log_zf - sum(log_zl)
-    log_zprime = (k + n_vars / 2.0) * LOG_2PI + 0.5 * (-ld_prime_inv)
-    residual = log_zprime - (n_vars * LOG_2PI + log_z)
-    return ZReport(
-        log_zf=log_zf,
-        log_zl=log_zl,
-        log_z=log_z,
-        log_zprime=log_zprime,
-        duality_residual=residual,
-    )
+    return _z_report(model, locals_, ld_prime_inv, logdet_sigma)
 
 
 def _dual_digest(dual):
@@ -149,36 +182,31 @@ def duality_check(model, tol=1e-9, direct_method="block_tridiag"):
     Z is computed entirely from the primal side (direct elimination of
     the assembled precision) and Z′ entirely from the dual side, so a
     small residual is genuine evidence that the two constructions
-    describe the same distribution.
+    describe the same distribution. Both sides share one factorization
+    of the covariance stack.
     """
-    k, n_vars = model.k, model.N
-    locals_ = local_logdets(model)
-    ld_prime_inv, dual = _logdet_dual_precision(model, "tree_bp")
-    ld_sigma_direct = logdet_sigma_direct(model, method=direct_method)
+    locals_, ld_prime_inv, ld_sigma_direct = _pass(model, "tree_bp", direct_method)
     ld_sigma_dual = float(locals_.sum() - ld_prime_inv)
+    z = _z_report(model, locals_, ld_prime_inv, ld_sigma_direct)
 
-    log_zf = 0.5 * (n_vars * LOG_2PI + ld_sigma_direct)
-    log_z = log_zf - sum(0.5 * (2 * k * LOG_2PI + v) for v in locals_)
-    log_zprime = (k + n_vars / 2.0) * LOG_2PI - 0.5 * ld_prime_inv
-
-    residual = float(log_zprime - (n_vars * LOG_2PI + log_z))
-    ok = abs(residual) <= tol * max(1.0, abs(log_zprime))
+    residual = z.duality_residual
+    ok = abs(residual) <= tol * max(1.0, abs(z.log_zprime))
     messages = []
     if not ok:
         messages = [
             f"duality residual {residual:.6e} exceeds tolerance {tol:g}",
             f"log det(Σ) via duality = {ld_sigma_dual!r}",
             f"log det(Σ) direct     = {ld_sigma_direct!r}",
-            _dual_digest(dual),
+            _dual_digest(build_dual(model)),
         ]
     return DualityCheck(
         ok=ok,
-        residual=float(residual),
+        residual=residual,
         tol=tol,
-        log_zprime=float(log_zprime),
-        log_z=float(log_z),
+        log_zprime=z.log_zprime,
+        log_z=z.log_z,
         logdet_via_duality=ld_sigma_dual,
-        logdet_direct=float(ld_sigma_direct),
+        logdet_direct=ld_sigma_direct,
         messages=messages,
     )
 

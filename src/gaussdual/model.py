@@ -6,6 +6,8 @@ This module holds the model container, structural validation (positive
 definiteness, acyclicity of the block sparsity graphs, counted as
 connected components over the whole block stack), and assembly of
 the global precision matrix implied by the product of local factors.
+The covariance stack is symmetrized, factored and inverted whole by
+the kernels in `linalg`; their errors name the covariance block.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import SYMMETRY_RTOL, pivot_floor, symmetrize
+from .linalg import _cholesky, _inverse, _logdet, _symmetric_part, symmetrize
+
+_COVARIANCE = "covariance block {}".format
 
 
 class LadderModel:
@@ -54,19 +58,9 @@ class LadderModel:
                 f"expected {L} covariance blocks of shape "
                 f"({2 * k}, {2 * k}), got array of shape {blocks.shape}"
             )
-        swapped = np.swapaxes(blocks, 1, 2)
-        if blocks.size:
-            scale = np.maximum(1.0, np.abs(blocks).max(axis=(1, 2)))
-            asym = np.abs(blocks - swapped).max(axis=(1, 2))
-            bad = np.nonzero(asym > SYMMETRY_RTOL * scale)[0]
-            if bad.size:
-                raise ValueError(
-                    f"covariance block {bad[0]} is not symmetric "
-                    f"(max |b - b.T| = {asym[bad[0]]:.3e})"
-                )
         self.k = k
         self.L = L
-        self.sigma_blocks = 0.5 * (blocks + swapped)
+        self.sigma_blocks = _symmetric_part(blocks, _COVARIANCE)
         self.sigma_blocks.setflags(write=False)
 
     @property
@@ -222,52 +216,6 @@ def _block_forests(stack, zero_tol):
     return np.bincount(ell, minlength=L) == m - components, (ell, i, j)
 
 
-def _stacked_cholesky(blocks, context):
-    """Cholesky-factorize a (L, m, m) stack, attributing failures to a block.
-
-    Returns the stacked lower factors. Raises NotPositiveDefinite naming
-    the first offending block and pivot, applying the same scale-relative
-    pivot floor as `linalg.spd_factorize`.
-    """
-    try:
-        lowers = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        lowers = None
-    if lowers is None:
-        for ell, b in enumerate(blocks):
-            try:
-                np.linalg.cholesky(b)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(
-                    f"{context} {ell} is not positive definite"
-                ) from None
-        raise NotPositiveDefinite(f"some {context} is not positive definite")
-
-    pivots = np.diagonal(lowers, axis1=1, axis2=2) ** 2
-    floors = pivot_floor(np.diagonal(blocks, axis1=1, axis2=2))
-    bad = np.nonzero((pivots <= floors[:, None]).any(axis=1))[0]
-    if bad.size:
-        ell = int(bad[0])
-        p = int(np.nonzero(pivots[ell] <= floors[ell])[0][0])
-        raise NotPositiveDefinite(
-            f"{context} {ell} has a near-zero pivot at index {p}",
-            pivot_index=p,
-        )
-    return lowers
-
-
-def _stacked_inverse(blocks, context):
-    inv = np.linalg.inv(_stacked_cholesky(blocks, context))
-    out = np.swapaxes(inv, 1, 2) @ inv
-    del inv
-    # In place: at most two stack-sized arrays are live at once, so fewer
-    # fresh pages are touched per call. numpy buffers the overlapping
-    # transpose, so the values equal 0.5 * (out + outᵀ) bit for bit.
-    out += np.swapaxes(out, 1, 2)
-    out *= 0.5
-    return out
-
-
 def _block_tridiagonal(stack, k):
     """Overlap-add a (L, 2k, 2k) stack at stride k, as k×k blocks.
 
@@ -318,19 +266,18 @@ def assemble_global_precision(model):
     NotPositiveDefinite
         If any covariance block fails to factorize.
     """
-    return _sparse_from_blocks(*_precision_blocks(model))
+    inverses = _inverse(_covariance_factor(model))
+    return _sparse_from_blocks(*_block_tridiagonal(inverses, model.k))
 
 
-def _precision_blocks(model):
-    """Diagonal and coupling k×k blocks of the global precision J."""
-    inverses = _stacked_inverse(model.sigma_blocks, "covariance block")
-    return _block_tridiagonal(inverses, model.k)
+def _covariance_factor(model):
+    """Cholesky factors of the covariance stack; a failure names its block."""
+    return _cholesky(model.sigma_blocks, _COVARIANCE)
 
 
 def local_logdets(model):
     """Log-determinant of each covariance block, as a length-L array."""
-    lowers = _stacked_cholesky(model.sigma_blocks, "covariance block")
-    return 2.0 * np.sum(np.log(np.diagonal(lowers, axis1=1, axis2=2)), axis=1)
+    return _logdet(_covariance_factor(model))
 
 
 def validate(model, zero_tol=0.0):
@@ -361,7 +308,7 @@ def validate(model, zero_tol=0.0):
 
     a1 = True
     try:
-        inverses = _stacked_inverse(model.sigma_blocks, "covariance block")
+        inverses = _inverse(_covariance_factor(model))
     except NotPositiveDefinite as exc:
         a1 = False
         inverses = None

@@ -1,9 +1,10 @@
-"""JSON serialization of ladder models and their duals.
+"""JSON serialization of ladder models, and the JSON dump of their duals.
 
 Model files carry k, L and one matrix per block, given either as a
-covariance or as a precision matrix; precision input is inverted once at
-load so the in-memory form is always covariance. Floats are written with
-full precision, so load → save → load is value-identical.
+covariance or as a precision matrix; the precision blocks are inverted
+at load, as one stack, so the in-memory form is always covariance.
+Floats are written with full precision, so load → save → load is
+value-identical.
 
 Loading parses all blocks as one (L, 2k, 2k) array and checks it whole;
 only when that check fails are the blocks checked one by one, to name
@@ -16,10 +17,9 @@ import json
 
 import numpy as np
 
-from .dual import LOG_2PI, DualModel
 from .errors import DimensionMismatch, ModelFormatError
-from .linalg import spd_inverse
-from .model import LadderModel, SparseSymMatrix
+from .linalg import _cholesky, _inverse, _symmetric_part
+from .model import LadderModel
 
 FORMAT_VERSION = "1"
 
@@ -97,9 +97,13 @@ def model_from_dict(doc):
             ]
         )
     blocks = blocks.astype(float, copy=False)
-    for ell, kind in enumerate(kinds):
-        if kind == "precision":
-            blocks[ell] = spd_inverse(blocks[ell])
+    prec = [ell for ell, kind in enumerate(kinds) if kind == "precision"]
+    if prec:
+        def label(i):
+            return f"precision block {prec[i]}"
+
+        sym = _symmetric_part(blocks[prec], label)
+        blocks[prec] = _inverse(_cholesky(sym, label))
 
     metadata = doc.get("metadata") or {}
     _require(isinstance(metadata, dict), "metadata must be an object")
@@ -164,43 +168,3 @@ def dual_to_dict(dual):
             ],
         },
     }
-
-
-def dual_from_dict(doc):
-    _require(isinstance(doc, dict), "dual file must be a JSON object")
-    try:
-        k, L, n_dual = doc["k"], doc["L"], doc["n_dual"]
-        gp = doc["dual_precision"]
-        diag = np.asarray(gp["diag"], dtype=float)
-        edges = gp["edges"]
-        pinned = np.asarray(doc["pinned"], dtype=np.int64)
-        variable_map = np.asarray(doc["variable_map"], dtype=np.int64)
-    except KeyError as exc:
-        raise ModelFormatError(f"dual file is missing key {exc}") from None
-    rows = np.asarray([e[0] for e in edges], dtype=np.int64)
-    cols = np.asarray([e[1] for e in edges], dtype=np.int64)
-    vals = np.asarray([e[2] for e in edges], dtype=float)
-    return DualModel(
-        n_dual=n_dual,
-        dual_precision=SparseSymMatrix(n_dual, diag, rows, cols, vals),
-        variable_map=variable_map,
-        pinned=pinned,
-        log_boundary_constant=2.0 * k * LOG_2PI,
-        k=k,
-        L=L,
-    )
-
-
-def save_dual(path, dual):
-    with open(path, "w") as fh:
-        json.dump(dual_to_dict(dual), fh, indent=2)
-        fh.write("\n")
-
-
-def load_dual(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
-    return dual_from_dict(doc)

@@ -179,18 +179,23 @@ def validate_reference(model, zero_tol=0.0):
     pass per block, then one over the union. Oracle for the stacked
     component counts of `gaussdual.validate`."""
     from gaussdual import NotPositiveDefinite, SparseSymMatrix, ValidationReport
-    from gaussdual import sparsity_graph
-    from gaussdual.model import _stacked_inverse
+    from gaussdual import sparsity_graph, spd_inverse
 
     messages = []
 
     a1 = True
-    try:
-        inverses = _stacked_inverse(model.sigma_blocks, "covariance block")
-    except NotPositiveDefinite as exc:
-        a1 = False
-        inverses = None
-        messages.append(str(exc))
+    inverses = []
+    for ell, b in enumerate(model.sigma_blocks):
+        try:
+            inverses.append(spd_inverse(b))
+        except NotPositiveDefinite as exc:
+            a1 = False
+            inverses = None
+            messages.append(
+                f"covariance block {ell} is not positive definite "
+                f"(pivot {exc.pivot_index})"
+            )
+            break
 
     a2 = False
     if inverses is not None:

@@ -132,6 +132,40 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make):
     assert "Traceback" not in err
 
 
+def _indefinite(b):
+    b[0, 1] = b[1, 0] = 3.0
+
+
+def _asymmetric(b):
+    b[0, 1] = 9.0
+
+
+@pytest.mark.parametrize(
+    "kind,spoil,code,named",
+    [
+        ("precision", _indefinite, 1, "precision block 3 "),
+        ("precision", _asymmetric, 2, "precision block 3 "),
+        ("covariance", _indefinite, 1, "covariance block 3 "),
+    ],
+    ids=["indefinite-precision", "asymmetric-precision", "indefinite-covariance"],
+)
+def test_bad_block_3_is_named(tmp_path, capsys, kind, spoil, code, named):
+    # The dual route factors the blocks before it eliminates the dual, so
+    # a bad covariance block is named, not a pivot of the dual.
+    blocks = [{"covariance": LADDER1_BLOCK.tolist()} for _ in range(5)]
+    bad = LADDER1_BLOCK.copy()
+    spoil(bad)
+    blocks[3] = {kind: bad.tolist()}
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps({"format_version": "1", "k": 2, "L": 5, "blocks": blocks})
+    )
+    assert main(["logdet", str(path), "--method", "duality-bp"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}")
+    assert "Traceback" not in err
+
+
 class TestVerifyDefaultRoute:
     def test_verify_never_densifies(self, tmp_path, capsys, monkeypatch):
         # Both of verify's routes are banded or tree elimination; neither

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaussdual import (
-    DimensionMismatch,
     GenSpec,
     LadderModel,
     build_dual,
@@ -13,43 +12,13 @@ from gaussdual import (
     local_logdets,
     logdet_dense,
     logdet_sigma_via_duality,
-    sign_congruence,
 )
 from helpers import (
-    LADDER1_BLOCK,
     LADDER1_DUAL_DENSE,
     LADDER2_DUAL_DENSE,
     ladder1_model,
     ladder2_model,
 )
-
-
-class TestSignCongruence:
-    def test_ladder1_block(self):
-        expected = np.array(
-            [
-                [2.0, 1.0, -1.0, 0.0],
-                [1.0, 2.0, 0.0, 0.0],
-                [-1.0, 0.0, 2.0, 1.0],
-                [0.0, 0.0, 1.0, 2.0],
-            ]
-        )
-        assert np.array_equal(sign_congruence(LADDER1_BLOCK, 2), expected)
-
-    def test_identity_fixed(self):
-        assert np.array_equal(sign_congruence(np.eye(6), 3), np.eye(6))
-
-    def test_diagonal_fixed(self):
-        d = np.diag([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(sign_congruence(d, 2), d)
-
-    def test_involution(self):
-        twice = sign_congruence(sign_congruence(LADDER1_BLOCK, 2), 2)
-        assert np.array_equal(twice, LADDER1_BLOCK)
-
-    def test_wrong_shape(self):
-        with pytest.raises(DimensionMismatch):
-            sign_congruence(np.eye(4), 3)
 
 
 class TestBuildDual:

@@ -197,3 +197,29 @@ class TestScaleCovariance:
         shifted = logdet_sigma_via_duality(scaled)
         expected = model.N * math.log(c)
         assert shifted - base == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        duality_check,
+        z_constants,
+        logdet_sigma_via_duality,
+        logdet_sigma_direct,
+        lambda m: logdet_sigma_direct(m, "dense"),
+    ],
+    ids=["duality_check", "z_constants", "via_duality", "direct", "direct_dense"],
+)
+def test_covariance_stack_factored_once(monkeypatch, call):
+    model = generate(GenSpec(k=3, L=9, seed=4, structure="random_tree"))
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        if a.ndim == 3:  # not the dense J
+            factored.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    call(model)
+    assert factored == [model.sigma_blocks.shape]

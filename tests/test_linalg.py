@@ -1,10 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gaussdual import NotPositiveDefinite, is_spd, spd_factorize, spd_inverse, symmetrize
-from helpers import det_cofactor, random_spd_dense
+from gaussdual import (
+    LadderModel,
+    NotPositiveDefinite,
+    load_model,
+    local_logdets,
+    spd_factorize,
+    spd_inverse,
+    symmetrize,
+    validate,
+)
+from helpers import LADDER1_BLOCK, det_cofactor, random_spd_dense
 
 
 def test_symmetrize_passthrough():
@@ -95,8 +105,79 @@ def test_inverse_involution():
     assert np.allclose(again, m, rtol=1e-10)
 
 
-def test_is_spd():
-    assert is_spd(np.eye(3))
-    assert is_spd([[2.0, 1.0], [1.0, 2.0]])
-    assert not is_spd([[1.0, 2.0], [2.0, 1.0]])
-    assert not is_spd([[0.0, 0.0], [0.0, 1.0]])
+class TestStacks:
+    """A stack is the same as its matrices one by one, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
+    def test_stack_equals_per_matrix(self, k):
+        rng = np.random.default_rng(k)
+        stack = np.array([random_spd_dense(2 * k, rng) for _ in range(20)])
+        factor = spd_factorize(stack)
+        inverse = spd_inverse(stack)
+        for ell, m in enumerate(stack):
+            one = spd_factorize(m)
+            assert np.array_equal(factor.lower[ell], one.lower)
+            assert factor.logdet[ell] == one.logdet
+            assert np.array_equal(inverse[ell], spd_inverse(m))
+
+    def test_symmetrize_stack(self):
+        stack = np.array([np.eye(3), [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0, 0, 1]]])
+        assert np.array_equal(symmetrize(stack), stack)
+        stack[1, 0, 1] = 5.0
+        with pytest.raises(ValueError, match="block 1 is not symmetric"):
+            symmetrize(stack)
+
+    def test_empty_stack(self):
+        f = spd_factorize(np.zeros((2, 0, 0)))
+        assert f.lower.shape == (2, 0, 0)
+        assert f.logdet.tolist() == [0.0, 0.0]
+
+
+def _indefinite(b):
+    b[0, 1] = b[1, 0] = 3.0  # leading 2x2 minor 2·2 - 9 < 0: pivot 1
+
+
+def _near_singular(b):
+    # Pivot 1 is about 1e-14, below the floor; the block still factors.
+    b[0, 1] = b[1, 0] = 2.0
+    b[1, 1] += 1e-14
+    b[0, 2] = b[2, 0] = 0.0
+
+
+def _blocks_bad_at_3(spoil):
+    blocks = np.array([LADDER1_BLOCK] * 5)
+    spoil(blocks[3])
+    return blocks
+
+
+@pytest.mark.parametrize("spoil", [_indefinite, _near_singular])
+class TestBadBlockIsNamed:
+    def test_spd_factorize(self, spoil):
+        with pytest.raises(NotPositiveDefinite, match="^block 3 ") as exc:
+            spd_factorize(_blocks_bad_at_3(spoil))
+        assert exc.value.pivot_index == 1
+
+    def test_local_logdets(self, spoil):
+        model = LadderModel(2, 5, _blocks_bad_at_3(spoil))
+        with pytest.raises(NotPositiveDefinite, match="covariance block 3 ") as exc:
+            local_logdets(model)
+        assert exc.value.pivot_index == 1
+
+    def test_validate(self, spoil):
+        report = validate(LadderModel(2, 5, _blocks_bad_at_3(spoil)))
+        assert not report.assumption1_ok
+        assert report.messages[0] == (
+            "covariance block 3 is not positive definite (pivot 1)"
+        )
+
+    def test_load_model(self, tmp_path, spoil):
+        entries = [{"covariance": b.tolist()} for b in _blocks_bad_at_3(spoil)]
+        entries[3] = {"precision": entries[3]["covariance"]}
+        entries[1] = {"precision": LADDER1_BLOCK.tolist()}
+        path = tmp_path / "model.json"
+        path.write_text(
+            json.dumps({"format_version": "1", "k": 2, "L": 5, "blocks": entries})
+        )
+        with pytest.raises(NotPositiveDefinite, match="precision block 3 ") as exc:
+            load_model(path)
+        assert exc.value.pivot_index == 1
