@@ -4,8 +4,9 @@ Two independent routes to log det(Σ):
 
 * direct: eliminate the global precision J, block-tridiagonal with k×k
   blocks, by banded Cholesky (or densely); log det(Σ) = −log det(J).
-* via duality: log det(Σ) = Σ_ℓ log det(Σ_ℓ) − log det(Σ′⁻¹), with the
-  dual precision Σ′⁻¹ eliminated along its tree graph (banded if cyclic).
+* via duality: log det(Σ) = Σ_ℓ log det(Σ_ℓ) − log det(Σ′⁻¹). Σ′⁻¹
+  is block-tridiagonal like J, so its band is sliced from the covariance
+  stack and eliminated by the same banded Cholesky, whatever its graph.
 
 Their agreement is the substantive correctness check of the whole
 package, and `verify_duality` states it as a relation between the
@@ -18,8 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .dual import LOG_2PI, build_dual
-from .elimination import logdet_block_tridiagonal, logdet_dense, logdet_tree_bp
-from .errors import NotAForest
+from .elimination import logdet_block_tridiagonal, logdet_dense
 from .linalg import _inverse, _logdet
 from .model import _block_tridiagonal, _covariance_factor, _sparse_from_blocks
 
@@ -55,29 +55,18 @@ class DualityCheck:
 
 
 def _logdet_dual_precision(model, method):
-    """log det(Σ′⁻¹) of the model's dual; a cyclic one is banded like J."""
-    dual = build_dual(model).dual_precision
+    """log det(Σ′⁻¹) of the model's dual."""
     if method == "dense":
-        return logdet_dense(dual).logdet
-    try:
-        return logdet_tree_bp(dual).logdet
-    except NotAForest:
-        warnings.warn(
-            "dual sparsity graph has a cycle; falling back to banded "
-            "elimination",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+        return logdet_dense(build_dual(model).dual_precision).logdet
     # Σ′⁻¹ is the overlap-add of the blocks at stride k, couplings
     # negated, without the first and last block row.
     diag_blocks, off_blocks = _block_tridiagonal(model.sigma_blocks, model.k)
     return logdet_block_tridiagonal(diag_blocks[1:-1], -off_blocks[1:-1]).logdet
 
 
-def _check_method(route, method):
-    known = {"dual": ("tree_bp", "dense"), "direct": ("block_tridiag", "dense")}
-    if method not in known[route]:
-        raise ValueError(f"unknown {route} method {method!r}")
+def _check_method(method):
+    if method not in ("block_tridiag", "dense"):
+        raise ValueError(f"unknown method {method!r}")
 
 
 def _logdet_direct(lower, k, method):
@@ -99,9 +88,9 @@ def _pass(model, dual_method, direct_method=None):
     log det(Σ′⁻¹) and, if ``direct_method`` is given, log det(Σ) by the
     direct route.
     """
-    _check_method("dual", dual_method)
+    _check_method(dual_method)
     if direct_method is not None:
-        _check_method("direct", direct_method)
+        _check_method(direct_method)
     lower = _covariance_factor(model)
     locals_ = _logdet(lower)
     ld_direct = None
@@ -128,15 +117,16 @@ def _z_report(model, locals_, ld_prime_inv, logdet_sigma):
     )
 
 
-def logdet_sigma_via_duality(model, method="tree_bp"):
+def logdet_sigma_via_duality(model, method="block_tridiag"):
     """log det(Σ) through the dual: Σ_ℓ logdet(Σ_ℓ) − logdet(Σ′⁻¹).
 
     Parameters
     ----------
     model : LadderModel
-    method : {"tree_bp", "dense"}
-        How to eliminate the dual precision matrix. "tree_bp" eliminates
-        a cyclic dual graph by banded Cholesky, with a RuntimeWarning.
+    method : {"block_tridiag", "dense"}
+        How to eliminate the dual precision matrix: banded Cholesky of
+        its k×k blocks, sliced from the covariance stack (any sparsity
+        graph, forest or not), or dense Cholesky of the built dual.
     """
     locals_, ld_prime_inv, _ = _pass(model, method)
     return float(locals_.sum() - ld_prime_inv)
@@ -148,11 +138,11 @@ def logdet_sigma_direct(model, method="block_tridiag"):
     ``method`` selects the elimination backend: "block_tridiag", banded
     Cholesky of J's k×k blocks, or "dense" Cholesky of the assembled J.
     """
-    _check_method("direct", method)
+    _check_method(method)
     return _logdet_direct(_covariance_factor(model), model.k, method)
 
 
-def z_constants(model, method="tree_bp"):
+def z_constants(model, method="block_tridiag"):
     """All normalization constants of the model, in natural logs.
 
     log Z_f needs log det(Σ), which is computed through the dual path;
@@ -185,7 +175,9 @@ def duality_check(model, tol=1e-9, direct_method="block_tridiag"):
     describe the same distribution. Both sides share one factorization
     of the covariance stack.
     """
-    locals_, ld_prime_inv, ld_sigma_direct = _pass(model, "tree_bp", direct_method)
+    locals_, ld_prime_inv, ld_sigma_direct = _pass(
+        model, "block_tridiag", direct_method
+    )
     ld_sigma_dual = float(locals_.sum() - ld_prime_inv)
     z = _z_report(model, locals_, ld_prime_inv, ld_sigma_direct)
 

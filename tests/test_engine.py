@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,25 +60,28 @@ class TestViaDuality:
 
     def test_dense_method_agrees(self):
         model = generate(GenSpec(k=3, L=9, seed=17, structure="random_tree"))
-        bp = logdet_sigma_via_duality(model, method="tree_bp")
+        bt = logdet_sigma_via_duality(model, method="block_tridiag")
         dn = logdet_sigma_via_duality(model, method="dense")
-        assert bp == pytest.approx(dn, rel=1e-12, abs=1e-12)
+        assert bt == pytest.approx(dn, rel=1e-12, abs=1e-12)
 
-    def test_cyclic_dual_falls_back_with_warning(self):
+    def test_cyclic_dual_needs_no_fallback(self):
         dense = np.ones((6, 6)) * 0.3 + 6.0 * np.eye(6)
         models = [
             LadderModel(3, 2, [dense, dense]),
             LadderModel(4, 50, _dense_blocks(4, 50, seed=5)),
         ]
         for model in models:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                got = logdet_sigma_via_duality(model, method="tree_bp")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = logdet_sigma_via_duality(model)
             expected = logdet_sigma_direct(model, "dense")
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            logdet_sigma_via_duality(ladder1_model(), method="cg")
+        # "tree_bp" is not a method: the dual route always runs the band.
+        for method in ("cg", "tree_bp"):
+            with pytest.raises(ValueError, match="unknown method"):
+                logdet_sigma_via_duality(ladder1_model(), method=method)
 
 
 class TestDirect:
