@@ -5,7 +5,8 @@ one (n, n) matrix or of an (L, n, n) stack of them. Every block the
 package symmetrizes, factors or inverts goes through here, so the pivot
 floor and the symmetry tolerance are decided in exactly one place. A
 stack is factored by one batched Cholesky call; only after a failure is
-it refactored block by block, to name the first bad block and pivot.
+it refactored block by block, to name the first bad block and pivot. It
+is inverted through its triangular factors, a whole stack at a time.
 """
 
 from typing import NamedTuple
@@ -36,7 +37,7 @@ class SpdFactor(NamedTuple):
     """
 
     lower: np.ndarray
-    logdet: float
+    logdet: float | np.ndarray
 
 
 def _name(m, label, ell):
@@ -145,20 +146,72 @@ def _logdet(lower):
     return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
 
 
+def _diagonal_blocks(x, size, count):
+    """Writable view of the first ``count`` diagonal blocks of each matrix.
+
+    ``x`` is a C-contiguous (B, n, n) stack; the view has shape
+    (B, count, size, size) and shares ``x``'s memory.
+    """
+    row, col = x.strides[1:]
+    strides = (x.strides[0], size * (row + col), row, col)
+    return np.ndarray((x.shape[0], count, size, size), x.dtype, x, 0, strides)
+
+
+def _merge(v, h):
+    """Invert lower-triangular ``v`` in place, given inverted diagonal halves.
+
+    ``v[..., :h, :h]`` and ``v[..., h:, h:]`` already hold X₁₁ and X₂₂;
+    the coupling L₂₁ below them becomes X₂₁ = −X₂₂·L₂₁·X₁₁.
+    """
+    t = np.matmul(v[..., h:, :h], v[..., :h, :h])
+    np.negative(t, out=t)
+    np.matmul(v[..., h:, h:], t, out=v[..., h:, :h])
+
+
+def _triangular_inverse(x):
+    """Invert the C-contiguous lower-triangular (B, n, n) stack ``x`` in place.
+
+    Bottom-up 2×2 block recursion: diagonal blocks of size h, already
+    inverted, are merged pairwise into blocks of size 2h, every pair of
+    every matrix in one `_merge`. When 2h does not divide n, the trailing
+    rows merge as one more pair, of a full h-block and the shorter tail.
+    So there are O(log n) batched products, none per block; they cost
+    2n³/3 flops per matrix, and the temporaries are at most two quarter
+    stacks.
+    """
+    n = x.shape[-1]
+    diag = _diagonal_blocks(x, 1, n)
+    np.reciprocal(diag, out=diag)
+    h = 1
+    while h < n:
+        count, rest = divmod(n, 2 * h)
+        if count:
+            _merge(_diagonal_blocks(x, 2 * h, count), h)
+        if rest > h:
+            _merge(x[:, n - rest :, n - rest :], h)
+        h *= 2
+    return x
+
+
 def _inverse(lower):
     """Symmetric inverse of the matrix, or stack, with Cholesky factor ``lower``.
 
-    The inverse overwrites ``lower`` and is returned.
+    X = L⁻¹ is formed in ``lower`` by `_triangular_inverse`, then
+    Σ⁻¹ = XᵀX overwrites ``lower`` and is returned. At most three
+    stack-sized arrays are live: ``lower``, Xᵀ / 2 and XᵀX / 2. For the
+    (25000, 8, 8) stack of a k=4 ladder, 12.2 MiB, tracemalloc's peak
+    over the whole direct route is 36.6 MiB.
     """
-    inv = np.linalg.inv(lower)
-    out = np.matmul(np.swapaxes(inv, -1, -2), inv, out=lower)
-    del inv
-    # In place: at most two stack-sized arrays are live at once, so fewer
-    # fresh pages are touched per call. numpy buffers the overlapping
-    # transpose, so the values equal 0.5 * (out + outᵀ) bit for bit.
-    out += np.swapaxes(out, -1, -2)
-    out *= 0.5
-    return out
+    x = _triangular_inverse(lower if lower.ndim == 3 else lower[None])
+    # The product runs from a contiguous copy of Xᵀ, which is faster than
+    # a transposed view. Halving is exact barring underflow, so
+    # half = XᵀX / 2, and half + halfᵀ = Σ⁻¹ is symmetric bit for bit by
+    # construction.
+    xt = np.multiply(np.swapaxes(x, -1, -2), 0.5, order="C")
+    half = np.matmul(xt, x)
+    del xt
+    np.add(half, np.swapaxes(half, -1, -2), out=x)
+    return lower
 
 
 def spd_factorize(m) -> SpdFactor:

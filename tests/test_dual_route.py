@@ -1,8 +1,9 @@
-"""The dual route against kernels it does not run.
+"""The engine routes against kernels they do not run.
 
-Both engine routes eliminate a band by the same banded Cholesky, so the
-dual route is checked here against the forest elimination of the built
-sparse dual (Parter's leaves-first order) and against the dense oracle.
+Both engine routes eliminate a band by the same banded Cholesky, so
+they are checked here against the forest elimination of the built
+sparse dual (Parter's leaves-first order), which inverts no block, and
+the dual route also against the dense oracle.
 """
 
 import math
@@ -29,14 +30,17 @@ def _forest_route(model):
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 17])
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 17])
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_matches_forest_kernel_and_dense_oracle(structure, k, L):
     # L = 1 leaves no interior variables: log det(Σ′⁻¹) = 0.
     model = generate(GenSpec(k=k, L=L, seed=100 * k + L, structure=structure))
+    forest = _forest_route(model)
     got = logdet_sigma_via_duality(model)
-    assert got == pytest.approx(_forest_route(model), rel=1e-12)
+    assert got == pytest.approx(forest, rel=1e-12)
     assert got == pytest.approx(logdet_sigma_direct(model, "dense"), rel=1e-12)
+    # The direct route inverts the stack; the forest route never does.
+    assert logdet_sigma_direct(model) == pytest.approx(forest, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e100, 1e200])

@@ -12,6 +12,7 @@ from gaussdual import (
     local_logdets,
     logdet_sigma_direct,
     logdet_sigma_via_duality,
+    validate,
     verify_duality,
     z_constants,
 )
@@ -211,19 +212,35 @@ class TestScaleCovariance:
         logdet_sigma_via_duality,
         logdet_sigma_direct,
         lambda m: logdet_sigma_direct(m, "dense"),
+        validate,
     ],
-    ids=["duality_check", "z_constants", "via_duality", "direct", "direct_dense"],
+    ids=[
+        "duality_check",
+        "z_constants",
+        "via_duality",
+        "direct",
+        "direct_dense",
+        "validate",
+    ],
 )
 def test_covariance_stack_factored_once(monkeypatch, call):
     model = generate(GenSpec(k=3, L=9, seed=4, structure="random_tree"))
-    factored = []
-    cholesky = np.linalg.cholesky
+    factored, inverted = [], []
+    cholesky, inv = np.linalg.cholesky, np.linalg.inv
 
     def counting(a):
         if a.ndim == 3:  # not the dense J
             factored.append(a.shape)
         return cholesky(a)
 
+    def counting_inv(a):
+        if np.ndim(a) == 3:
+            inverted.append(np.shape(a))
+        return inv(a)
+
     monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     call(model)
     assert factored == [model.sigma_blocks.shape]
+    # The stack is inverted through its triangular factors, never by LU.
+    assert inverted == []

@@ -105,10 +105,28 @@ def test_inverse_involution():
     assert np.allclose(again, m, rtol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 6, 10, 34, 66])
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_inverse_accuracy_ill_conditioned(n, cond):
+    # Inverting through the triangular factor is backward stable, so the
+    # forward error is a modest multiple of cond·ε (Du Croz & Higham,
+    # IMA J. Numer. Anal. 12, 1992); LU's inverse, the reference, is too.
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((5, n, n)))
+    m = (q * np.logspace(0, -math.log10(cond), n)) @ np.swapaxes(q, 1, 2)
+    expected = np.linalg.inv(symmetrize(m))
+    got = spd_inverse(m)
+    err = np.linalg.norm(got - expected, axis=(1, 2))
+    bound = n * cond * np.finfo(float).eps * np.linalg.norm(expected, axis=(1, 2))
+    assert (err <= bound).all()
+    assert np.array_equal(got, np.swapaxes(got, 1, 2))
+
+
 class TestStacks:
     """A stack is the same as its matrices one by one, bit for bit."""
 
-    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
+    # n = 2k that is not a power of two leaves a tail at some halving.
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33])
     def test_stack_equals_per_matrix(self, k):
         rng = np.random.default_rng(k)
         stack = np.array([random_spd_dense(2 * k, rng) for _ in range(20)])
@@ -131,6 +149,8 @@ class TestStacks:
         f = spd_factorize(np.zeros((2, 0, 0)))
         assert f.lower.shape == (2, 0, 0)
         assert f.logdet.tolist() == [0.0, 0.0]
+        for shape in [(2, 0, 0), (0, 0), (0, 3, 3)]:
+            assert spd_inverse(np.zeros(shape)).shape == shape
 
 
 def _indefinite(b):
