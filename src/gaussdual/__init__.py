@@ -7,23 +7,14 @@ size N−2k whose log-determinant, together with the blocks' own, gives
 log det(Σ) exactly and in linear time.
 """
 
-from .dual import DualModel, build_dual, dual_is_tree
-from .elimination import (
-    EliminationOrder,
-    LogDetReport,
-    block_partition,
-    logdet_block_tridiagonal,
-    logdet_dense,
-    logdet_tree_bp,
-    tree_elimination_order,
-)
+from .dual import DualModel, build_dual
+from .elimination import LogDetReport, logdet_block_tridiagonal, logdet_dense
 from .engine import (
     DualityCheck,
     ZReport,
     duality_check,
     logdet_sigma_direct,
     logdet_sigma_via_duality,
-    verify_duality,
     z_constants,
 )
 from .errors import (
@@ -31,7 +22,6 @@ from .errors import (
     GaussDualError,
     InfeasibleStructure,
     ModelFormatError,
-    NotAForest,
     NotPositiveDefinite,
 )
 from .generate import STRUCTURES, GenSpec, generate
@@ -40,10 +30,7 @@ from .model import (
     LadderModel,
     SparseSymMatrix,
     ValidationReport,
-    assemble_global_precision,
-    is_forest,
     local_logdets,
-    sparsity_graph,
     validate,
 )
 from .modelio import load_model, save_model
@@ -54,41 +41,31 @@ __all__ = [
     "DualModel",
     "DualityCheck",
     "DimensionMismatch",
-    "EliminationOrder",
     "GaussDualError",
     "GenSpec",
     "InfeasibleStructure",
     "LadderModel",
     "LogDetReport",
     "ModelFormatError",
-    "NotAForest",
     "NotPositiveDefinite",
     "STRUCTURES",
     "SparseSymMatrix",
     "SpdFactor",
     "ValidationReport",
     "ZReport",
-    "assemble_global_precision",
-    "block_partition",
     "build_dual",
-    "dual_is_tree",
     "duality_check",
     "generate",
-    "is_forest",
     "load_model",
     "local_logdets",
     "logdet_block_tridiagonal",
     "logdet_dense",
     "logdet_sigma_direct",
     "logdet_sigma_via_duality",
-    "logdet_tree_bp",
     "save_model",
-    "sparsity_graph",
     "spd_factorize",
     "spd_inverse",
     "symmetrize",
-    "tree_elimination_order",
     "validate",
-    "verify_duality",
     "z_constants",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SparseSymMatrix, _block_tridiagonal, _sparse_from_blocks, is_forest
+from .model import SparseSymMatrix, _block_tridiagonal, _sparse_from_blocks
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -76,13 +76,3 @@ def build_dual(model):
         L=L,
     )
 
-
-def dual_is_tree(dual, zero_tol=0.0):
-    """True iff the dual precision's graph is cycle-free."""
-    g = dual.dual_precision
-    if zero_tol > 0.0:
-        keep = np.abs(g.vals) > zero_tol
-        g = SparseSymMatrix(
-            g.n, g.diag, g.rows[keep], g.cols[keep], g.vals[keep]
-        )
-    return is_forest(g)

@@ -8,14 +8,15 @@ Two independent routes to log det(Σ):
   is block-tridiagonal like J, so its band is sliced from the covariance
   stack and eliminated by the same banded Cholesky, whatever its graph.
 
-Their agreement is the substantive correctness check of the whole
-package, and `verify_duality` states it as a relation between the
-primal and dual normalization constants. Both routes start from one
-Cholesky factorization of the covariance stack: the dual route takes
-the local log-determinants from it, the direct route J's blocks.
+Both routes hand their k×k blocks to one kernel dispatch, `_eliminate`,
+so "dense" eliminates exactly the matrix the band holds. Their
+agreement is the substantive correctness check of the whole package,
+and `duality_check` states it as a relation between the primal and
+dual normalization constants. Both routes start from one Cholesky
+factorization of the covariance stack: the dual route takes the local
+log-determinants from it, the direct route J's blocks.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 from .dual import LOG_2PI, build_dual
@@ -54,19 +55,20 @@ class DualityCheck:
     messages: list = field(default_factory=list)
 
 
-def _logdet_dual_precision(model, method):
-    """log det(Σ′⁻¹) of the model's dual."""
-    if method == "dense":
-        return logdet_dense(build_dual(model).dual_precision).logdet
-    # Σ′⁻¹ is the overlap-add of the blocks at stride k, couplings
-    # negated, without the first and last block row.
-    diag_blocks, off_blocks = _block_tridiagonal(model.sigma_blocks, model.k)
-    return logdet_block_tridiagonal(diag_blocks[1:-1], -off_blocks[1:-1]).logdet
-
-
 def _check_method(method):
     if method not in ("block_tridiag", "dense"):
         raise ValueError(f"unknown method {method!r}")
+
+
+def _eliminate(diag_blocks, off_blocks, method):
+    """log det of the block-tridiagonal matrix with these k×k blocks.
+
+    "block_tridiag" runs the banded Cholesky on them, "dense" a dense
+    Cholesky of the same matrix.
+    """
+    if method == "dense":
+        return logdet_dense(_sparse_from_blocks(diag_blocks, off_blocks)).logdet
+    return logdet_block_tridiagonal(diag_blocks, off_blocks).logdet
 
 
 def _logdet_direct(lower, k, method):
@@ -74,10 +76,7 @@ def _logdet_direct(lower, k, method):
 
     The inverse overwrites ``lower``.
     """
-    blocks = _block_tridiagonal(_inverse(lower), k)
-    if method == "dense":
-        return float(-logdet_dense(_sparse_from_blocks(*blocks)).logdet)
-    return float(-logdet_block_tridiagonal(*blocks).logdet)
+    return -_eliminate(*_block_tridiagonal(_inverse(lower), k), method)
 
 
 def _pass(model, dual_method, direct_method=None):
@@ -96,8 +95,12 @@ def _pass(model, dual_method, direct_method=None):
     ld_direct = None
     if direct_method is not None:
         ld_direct = _logdet_direct(lower, model.k, direct_method)
-    del lower  # freed before the dual is built
-    return locals_, _logdet_dual_precision(model, dual_method), ld_direct
+    del lower  # freed before the dual's band is built
+    # Σ′⁻¹ is the overlap-add of the blocks at stride k, couplings
+    # negated, without the first and last block row.
+    diag_blocks, off_blocks = _block_tridiagonal(model.sigma_blocks, model.k)
+    ld_prime_inv = _eliminate(diag_blocks[1:-1], -off_blocks[1:-1], dual_method)
+    return locals_, ld_prime_inv, ld_direct
 
 
 def _z_report(model, locals_, ld_prime_inv, logdet_sigma):
@@ -124,9 +127,9 @@ def logdet_sigma_via_duality(model, method="block_tridiag"):
     ----------
     model : LadderModel
     method : {"block_tridiag", "dense"}
-        How to eliminate the dual precision matrix: banded Cholesky of
-        its k×k blocks, sliced from the covariance stack (any sparsity
-        graph, forest or not), or dense Cholesky of the built dual.
+        How to eliminate the dual precision matrix, whose k×k blocks are
+        sliced from the covariance stack: banded Cholesky (any sparsity
+        graph, forest or not), or dense Cholesky of the same matrix.
     """
     locals_, ld_prime_inv, _ = _pass(model, method)
     return float(locals_.sum() - ld_prime_inv)
@@ -136,21 +139,21 @@ def logdet_sigma_direct(model, method="block_tridiag"):
     """log det(Σ) from the global precision: −log det(J).
 
     ``method`` selects the elimination backend: "block_tridiag", banded
-    Cholesky of J's k×k blocks, or "dense" Cholesky of the assembled J.
+    Cholesky of J's k×k blocks, or "dense" Cholesky of the same J.
     """
     _check_method(method)
     return _logdet_direct(_covariance_factor(model), model.k, method)
 
 
-def z_constants(model, method="block_tridiag"):
+def z_constants(model):
     """All normalization constants of the model, in natural logs.
 
     log Z_f needs log det(Σ), which is computed through the dual path;
     log Z′ uses the same dual log-determinant, so the residual reported
     here checks bookkeeping, not cross-path agreement (that is
-    `verify_duality`'s job).
+    `duality_check`'s job).
     """
-    locals_, ld_prime_inv, _ = _pass(model, method)
+    locals_, ld_prime_inv, _ = _pass(model, "block_tridiag")
     logdet_sigma = float(locals_.sum() - ld_prime_inv)
     return _z_report(model, locals_, ld_prime_inv, logdet_sigma)
 
@@ -173,8 +176,11 @@ def duality_check(model, tol=1e-9, direct_method="block_tridiag"):
     the assembled precision) and Z′ entirely from the dual side, so a
     small residual is genuine evidence that the two constructions
     describe the same distribution. Both sides share one factorization
-    of the covariance stack.
+    of the covariance stack. ``ok`` is ``|residual| <= tol ·
+    max(1, |log Z′|)``; ``tol`` must be a number >= 0.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     locals_, ld_prime_inv, ld_sigma_direct = _pass(
         model, "block_tridiag", direct_method
     )
@@ -202,14 +208,3 @@ def duality_check(model, tol=1e-9, direct_method="block_tridiag"):
         messages=messages,
     )
 
-
-def verify_duality(model, tol=1e-9, direct_method="block_tridiag"):
-    """True iff the primal and dual normalization constants agree.
-
-    On failure the discrepancy details are emitted as a warning; both
-    candidate values are reported rather than either being trusted.
-    """
-    check = duality_check(model, tol=tol, direct_method=direct_method)
-    if not check.ok:
-        warnings.warn("; ".join(check.messages), RuntimeWarning, stacklevel=2)
-    return check.ok

@@ -53,6 +53,12 @@ def _symmetric_part(m, label, rtol=SYMMETRY_RTOL):
     t = np.swapaxes(m, -1, -2)
     if m.size:
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        # NaN or inf exactly where a matrix has a non-finite entry.
+        bad = np.flatnonzero(~np.isfinite(scale))
+        if bad.size:
+            raise ValueError(
+                f"{_name(m, label, int(bad[0]))} contains non-finite entries"
+            )
         asym = np.abs(m - t).max(axis=(-2, -1))
         bad = np.flatnonzero(asym > rtol * scale)
         if bad.size:
@@ -84,8 +90,9 @@ def symmetrize(m, rtol=SYMMETRY_RTOL):
     Raises
     ------
     ValueError
-        If ``m`` is not square or a matrix's asymmetry exceeds ``rtol``;
-        for a stack, the message names the first such block.
+        If ``m`` is not square, or a matrix has a non-finite entry or an
+        asymmetry over ``rtol``; for a stack, the message names the first
+        such block.
     """
     return _symmetric_part(m, _BLOCK, rtol)
 

@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import _cholesky, _inverse, _logdet, _symmetric_part, symmetrize
+from .linalg import _cholesky, _inverse, _logdet, _symmetric_part
 
 _COVARIANCE = "covariance block {}".format
 
@@ -33,9 +33,9 @@ class LadderModel:
     L : int
         Number of blocks, ≥ 1.
     sigma_blocks : sequence of (2k, 2k) arrays
-        Local covariance matrices. They are symmetrized on ingestion;
-        positive definiteness is checked by `validate`, not here, so
-        deliberately broken models can be constructed for inspection.
+        Local covariance matrices, finite. They are symmetrized on
+        ingestion; positive definiteness is checked by `validate`, not
+        here, so indefinite models can be constructed for inspection.
 
     Attributes
     ----------
@@ -66,12 +66,6 @@ class LadderModel:
     @property
     def N(self):
         return (self.L + 1) * self.k
-
-    def block_span(self, ell):
-        """Global indices covered by block ``ell`` (0-based): a range of 2k."""
-        if not 0 <= ell < self.L:
-            raise IndexError(f"block index {ell} out of range [0, {self.L})")
-        return range(ell * self.k, (ell + 2) * self.k)
 
     def __repr__(self):
         return f"LadderModel(k={self.k}, L={self.L}, N={self.N})"
@@ -118,21 +112,6 @@ class SparseSymMatrix:
     def nnz(self):
         return int(self.rows.size)
 
-    @property
-    def edges(self):
-        """Off-diagonal entries as (i, j, weight) tuples, i < j."""
-        return [
-            (int(i), int(j), float(v))
-            for i, j, v in zip(self.rows, self.cols, self.vals)
-        ]
-
-    @classmethod
-    def from_dense(cls, m, zero_tol=0.0):
-        m = symmetrize(m)
-        i, j = np.triu_indices(m.shape[0], 1)
-        keep = np.abs(m[i, j]) > zero_tol
-        return cls(m.shape[0], np.diagonal(m).copy(), i[keep], j[keep], m[i, j][keep])
-
     def to_dense(self):
         m = np.zeros((self.n, self.n))
         np.fill_diagonal(m, self.diag)
@@ -168,15 +147,6 @@ class ValidationReport:
         )
 
 
-def sparsity_graph(m, zero_tol=0.0):
-    """Graph of a symmetric matrix: entries above ``zero_tol`` are edges.
-
-    Diagonal values are copied verbatim; an off-diagonal pair (i, j) with
-    |m[i, j]| > zero_tol contributes one undirected edge.
-    """
-    return SparseSymMatrix.from_dense(m, zero_tol=zero_tol)
-
-
 def _components(n, rows, cols):
     """Number of connected components and their labels, for n vertices."""
     # CSR arrays built here: scipy's COO conversion dominates small graphs.
@@ -185,14 +155,6 @@ def _components(n, rows, cols):
     order = np.argsort(rows, kind="stable")
     graph = csr_matrix((np.ones(rows.size), cols[order], indptr), shape=(n, n))
     return connected_components(graph, directed=False)
-
-
-def is_forest(g):
-    """True iff the edge set of ``g`` contains no cycle.
-
-    A simple graph is a forest iff it has n - (component count) edges.
-    """
-    return g.nnz == g.n - _components(g.n, g.rows, g.cols)[0]
 
 
 def _block_forests(stack, zero_tol):
@@ -300,9 +262,9 @@ def validate(model, zero_tol=0.0):
     Raises
     ------
     ValueError
-        If ``zero_tol`` is negative.
+        If ``zero_tol`` is negative or NaN.
     """
-    if zero_tol < 0:
+    if not zero_tol >= 0:
         raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
     messages = []
 

@@ -117,12 +117,6 @@ def _header(model, metadata):
     return doc
 
 
-def model_to_dict(model, metadata=None):
-    doc = _header(model, metadata)
-    doc["blocks"] = [{"covariance": b} for b in model.sigma_blocks.tolist()]
-    return doc
-
-
 def load_model(path):
     """Read a model file; returns (LadderModel, metadata dict)."""
     try:

@@ -165,21 +165,30 @@ class UnionFind:
         return True
 
 
-def is_forest_union_find(g):
-    """Cycle test by union-find: an edge inside one set closes a cycle."""
-    uf = UnionFind(g.n)
-    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
-        if not uf.union(i, j):
-            return False
-    return True
+def edge_list(m, zero_tol=0.0):
+    """Sparsity graph of the symmetric matrix ``m``: its strictly-upper
+    entries with |value| > zero_tol, row-major, as (i, j, value) tuples."""
+    m = np.asarray(m)
+    return [
+        (i, j, float(m[i, j]))
+        for i in range(m.shape[0])
+        for j in range(i + 1, m.shape[0])
+        if abs(m[i, j]) > zero_tol
+    ]
+
+
+def is_forest_union_find(n, edges):
+    """Cycle test by union-find over (i, j, ...) edges on n vertices: an
+    edge inside one set closes a cycle."""
+    uf = UnionFind(n)
+    return all(uf.union(i, j) for i, j, *_ in edges)
 
 
 def validate_reference(model, zero_tol=0.0):
-    """`validate` block by block: one sparsity graph and one union-find
-    pass per block, then one over the union. Oracle for the stacked
-    component counts of `gaussdual.validate`."""
-    from gaussdual import NotPositiveDefinite, SparseSymMatrix, ValidationReport
-    from gaussdual import sparsity_graph, spd_inverse
+    """`validate` block by block: one edge list and one union-find pass
+    per block, then one over the union. Oracle for the stacked component
+    counts of `gaussdual.validate`."""
+    from gaussdual import NotPositiveDefinite, ValidationReport, spd_inverse
 
     messages = []
 
@@ -197,10 +206,11 @@ def validate_reference(model, zero_tol=0.0):
             )
             break
 
+    m = 2 * model.k
     a2 = False
     if inverses is not None:
         a2 = all(
-            not is_forest_union_find(sparsity_graph(inv, zero_tol))
+            not is_forest_union_find(m, edge_list(inv, zero_tol))
             for inv in inverses
         )
         if not a2:
@@ -209,27 +219,22 @@ def validate_reference(model, zero_tol=0.0):
                 "dualization is unnecessary for it"
             )
 
-    block_graphs = [sparsity_graph(b, zero_tol) for b in model.sigma_blocks]
+    block_edges = [edge_list(b, zero_tol) for b in model.sigma_blocks]
     a3_blocks = True
-    for ell, g in enumerate(block_graphs):
-        if not is_forest_union_find(g):
+    for ell, edges in enumerate(block_edges):
+        if not is_forest_union_find(m, edges):
             a3_blocks = False
             messages.append(f"covariance block {ell} has a cycle")
 
     a3_union = False
     if a3_blocks:
-        k, n = model.k, model.N
-        rows = np.concatenate(
-            [g.rows + ell * k for ell, g in enumerate(block_graphs)]
-        )
-        cols = np.concatenate(
-            [g.cols + ell * k for ell, g in enumerate(block_graphs)]
-        )
-        keys = np.unique(rows * n + cols)
-        union = SparseSymMatrix(
-            n, np.zeros(n), keys // n, keys % n, np.ones(keys.size)
-        )
-        a3_union = is_forest_union_find(union)
+        k = model.k
+        union = {
+            (i + ell * k, j + ell * k)
+            for ell, edges in enumerate(block_edges)
+            for i, j, _ in edges
+        }
+        a3_union = is_forest_union_find(model.N, union)
         if not a3_union:
             messages.append("union of block graphs has a cycle")
 

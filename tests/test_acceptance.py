@@ -16,10 +16,7 @@ import pytest
 from gaussdual import (
     GenSpec,
     LadderModel,
-    NotAForest,
     SparseSymMatrix,
-    assemble_global_precision,
-    block_partition,
     build_dual,
     duality_check,
     generate,
@@ -28,9 +25,11 @@ from gaussdual import (
     logdet_dense,
     logdet_sigma_direct,
     logdet_sigma_via_duality,
-    logdet_tree_bp,
 )
 from gaussdual.cli import main as cli_main
+from gaussdual.elimination import block_partition, logdet_tree_bp
+from gaussdual.errors import NotAForest
+from gaussdual.model import assemble_global_precision
 from helpers import (
     EXAMPLES_DIR,
     LADDER1_DUAL_DENSE,

@@ -46,6 +46,10 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         assert main(["validate", "/no/such/file.json"]) == 2
 
+    def test_nan_zero_tol_is_usage_error(self, capsys):
+        assert main(["validate", EXAMPLE1, "--zero-tol", "nan"]) == 2
+        assert "zero_tol must be >= 0" in capsys.readouterr().err
+
     def test_json_flag(self, capsys):
         assert main(["validate", EXAMPLE1, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -222,6 +226,13 @@ class TestVerifyAndZ:
         out = capsys.readouterr().out
         assert out.startswith("FAIL")
         assert "note:" in out
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_verify_bad_tolerance_is_usage_error(self, capsys, tol):
+        assert main(["verify", EXAMPLE1, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "tol must be >= 0" in captured.err
+        assert captured.out == ""
 
     def test_z_json(self, capsys):
         assert main(["z", EXAMPLE1, "--json"]) == 0

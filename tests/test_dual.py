@@ -7,7 +7,6 @@ from gaussdual import (
     GenSpec,
     LadderModel,
     build_dual,
-    dual_is_tree,
     generate,
     local_logdets,
     logdet_dense,
@@ -16,9 +15,17 @@ from gaussdual import (
 from helpers import (
     LADDER1_DUAL_DENSE,
     LADDER2_DUAL_DENSE,
+    edge_list,
+    is_forest_union_find,
     ladder1_model,
     ladder2_model,
 )
+
+
+def dual_is_tree(dual, zero_tol=0.0):
+    """True iff the dual precision's graph, past ``zero_tol``, has no cycle."""
+    edges = edge_list(dual.dual_precision.to_dense(), zero_tol)
+    return is_forest_union_find(dual.n_dual, edges)
 
 
 class TestBuildDual:

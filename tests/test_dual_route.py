@@ -19,8 +19,8 @@ from gaussdual import (
     local_logdets,
     logdet_sigma_direct,
     logdet_sigma_via_duality,
-    logdet_tree_bp,
 )
+from gaussdual.elimination import logdet_tree_bp
 
 
 def _forest_route(model):

@@ -5,18 +5,21 @@ import pytest
 
 from gaussdual import (
     DimensionMismatch,
-    NotAForest,
     NotPositiveDefinite,
     SparseSymMatrix,
-    assemble_global_precision,
-    block_partition,
     logdet_block_tridiagonal,
     logdet_dense,
+)
+from gaussdual.elimination import (
+    block_partition,
     logdet_tree_bp,
     tree_elimination_order,
 )
+from gaussdual.errors import NotAForest
+from gaussdual.model import assemble_global_precision
 from helpers import (
     det_cofactor,
+    edge_list,
     ladder1_model,
     random_forest_spd,
     random_spd_dense,
@@ -112,7 +115,8 @@ class TestLogdetTreeBp:
         for _ in range(5):
             perm = rng.permutation(40)
             dense = g.to_dense()[np.ix_(perm, perm)]
-            relabeled = SparseSymMatrix.from_dense(dense)
+            rows, cols, vals = zip(*edge_list(dense))
+            relabeled = SparseSymMatrix(40, np.diagonal(dense), rows, cols, vals)
             assert logdet_tree_bp(relabeled).logdet == pytest.approx(
                 base, rel=1e-10, abs=1e-10
             )

@@ -13,7 +13,6 @@ from gaussdual import (
     logdet_sigma_direct,
     logdet_sigma_via_duality,
     validate,
-    verify_duality,
     z_constants,
 )
 from helpers import (
@@ -161,10 +160,10 @@ class TestZConstants:
 
 class TestVerifyDuality:
     def test_ladder1(self):
-        assert verify_duality(ladder1_model(), tol=1e-9)
+        assert duality_check(ladder1_model(), tol=1e-9).ok
 
     def test_ladder2(self):
-        assert verify_duality(ladder2_model(), tol=1e-9)
+        assert duality_check(ladder2_model(), tol=1e-9).ok
 
     def test_random_sweep(self):
         for seed in range(30):
@@ -176,12 +175,19 @@ class TestVerifyDuality:
                     structure=("star_pattern", "random_tree", "diagonal")[seed % 3],
                 )
             )
-            assert verify_duality(model, tol=1e-9)
+            assert duality_check(model, tol=1e-9).ok
 
     def test_impossible_tolerance_reports_both_values(self):
-        with pytest.warns(RuntimeWarning, match="residual"):
-            ok = verify_duality(ladder1_model(), tol=0.0)
-        assert not ok
+        check = duality_check(ladder1_model(), tol=0.0)
+        assert not check.ok
+        assert "exceeds tolerance" in check.messages[0]
+        assert check.messages[1].endswith(repr(check.logdet_via_duality))
+        assert check.messages[2].endswith(repr(check.logdet_direct))
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            duality_check(ladder1_model(), tol=tol)
 
     def test_check_payload(self):
         check = duality_check(ladder2_model(), tol=1e-9)

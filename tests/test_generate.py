@@ -7,11 +7,10 @@ from gaussdual import (
     GenSpec,
     InfeasibleStructure,
     build_dual,
-    dual_is_tree,
     generate,
-    sparsity_graph,
     validate,
 )
+from helpers import edge_list, is_forest_union_find
 
 
 def test_deterministic_per_seed():
@@ -30,8 +29,7 @@ def test_star_pattern_zero_structure():
     model = generate(GenSpec(k=2, L=3, seed=7, structure="star_pattern"))
     expected_pairs = {(0, 1), (0, 2), (2, 3)}
     for b in model.sigma_blocks:
-        g = sparsity_graph(b, 0.0)
-        assert {(i, j) for i, j, _ in g.edges} == expected_pairs
+        assert {(i, j) for i, j, _ in edge_list(b)} == expected_pairs
 
 
 def test_diagonal_structure():
@@ -58,7 +56,10 @@ def test_duals_are_trees(structure):
         model = generate(
             GenSpec(k=1 + seed % 5, L=2 + seed % 7, seed=seed, structure=structure)
         )
-        assert dual_is_tree(build_dual(model))
+        dual = build_dual(model)
+        assert is_forest_union_find(
+            dual.n_dual, edge_list(dual.dual_precision.to_dense())
+        )
 
 
 def test_thousand_model_sweep_validates():

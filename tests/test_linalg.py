@@ -84,6 +84,17 @@ def test_factorize_near_singular_hits_floor():
         spd_factorize(m)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_factorize_rejects_non_finite(value):
+    # Checked before the asymmetry test, whose inf - inf would be NaN.
+    blocks = np.array([LADDER1_BLOCK] * 3)
+    blocks[1, 0, 0] = value
+    with pytest.raises(ValueError, match="^block 1 contains non-finite"):
+        spd_factorize(blocks)
+    with pytest.raises(ValueError, match="^matrix contains non-finite"):
+        spd_factorize(blocks[1])
+
+
 def test_factorize_small_scale_accepted():
     # Tiny but well-conditioned matrices must not be rejected.
     f = spd_factorize(1e-8 * np.eye(3))

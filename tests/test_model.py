@@ -9,17 +9,16 @@ from gaussdual import (
     LadderModel,
     NotPositiveDefinite,
     SparseSymMatrix,
-    assemble_global_precision,
     generate,
-    is_forest,
     local_logdets,
-    sparsity_graph,
     spd_inverse,
     validate,
 )
+from gaussdual.model import _block_forests, assemble_global_precision
 from helpers import (
     LADDER1_BLOCK,
     LADDER2_S1,
+    edge_list,
     ladder1_model,
     ladder2_model,
     validate_reference,
@@ -57,13 +56,6 @@ class TestLadderModel:
         m = ladder1_model()
         assert (m.k, m.L, m.N) == (2, 3, 8)
 
-    def test_block_span(self):
-        m = ladder1_model()
-        assert list(m.block_span(0)) == [0, 1, 2, 3]
-        assert list(m.block_span(2)) == [4, 5, 6, 7]
-        with pytest.raises(IndexError):
-            m.block_span(3)
-
     def test_wrong_block_count(self):
         with pytest.raises(DimensionMismatch):
             LadderModel(2, 3, [LADDER1_BLOCK] * 2)
@@ -83,6 +75,13 @@ class TestLadderModel:
         with pytest.raises(ValueError, match="not symmetric"):
             LadderModel(2, 1, [b])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, value):
+        blocks = np.array(generate(GenSpec(k=2, L=3, seed=1)).sigma_blocks)
+        blocks[1, 0, 0] = value
+        with pytest.raises(ValueError, match="covariance block 1 contains non-finite"):
+            LadderModel(2, 3, blocks)
+
     def test_blocks_read_only(self):
         m = ladder1_model()
         with pytest.raises(ValueError):
@@ -91,13 +90,10 @@ class TestLadderModel:
 
 class TestSparseSymMatrix:
     def test_round_trip(self):
-        m = SparseSymMatrix.from_dense(LADDER1_BLOCK)
+        rows, cols, vals = zip(*edge_list(LADDER1_BLOCK))
+        m = SparseSymMatrix(4, np.diagonal(LADDER1_BLOCK), rows, cols, vals)
         assert np.array_equal(m.to_dense(), LADDER1_BLOCK)
         assert m.nnz == 3
-
-    def test_edges_listing(self):
-        m = SparseSymMatrix.from_dense(LADDER1_BLOCK)
-        assert m.edges == [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)]
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -124,53 +120,51 @@ class TestSparseSymMatrix:
             SparseSymMatrix(3, np.ones(2))
 
 
+def block_edges(m, zero_tol=0.0):
+    """Edge pairs of one matrix's sparsity graph, as `validate` finds them."""
+    _, (_, i, j) = _block_forests(np.asarray(m)[None], zero_tol)
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def block_is_forest(m):
+    return bool(_block_forests(np.asarray(m)[None], 0.0)[0][0])
+
+
 class TestSparsityGraph:
     def test_ladder1_block_edges(self):
-        g = sparsity_graph(LADDER1_BLOCK, 0.0)
-        assert {(i, j) for i, j, _ in g.edges} == {(0, 1), (0, 2), (2, 3)}
-        assert np.array_equal(g.diag, [2.0, 2.0, 2.0, 2.0])
+        assert block_edges(LADDER1_BLOCK) == [(0, 1), (0, 2), (2, 3)]
 
     def test_identity_has_no_edges(self):
-        assert sparsity_graph(np.eye(4), 0.0).nnz == 0
+        assert block_edges(np.eye(4)) == []
 
     def test_dense_precision_is_complete(self):
-        g = sparsity_graph(spd_inverse(LADDER1_BLOCK), 0.0)
-        assert g.nnz == 6
+        assert len(block_edges(spd_inverse(LADDER1_BLOCK))) == 6
 
     def test_zero_tol_filters(self):
         m = np.array([[1.0, 1e-12], [1e-12, 1.0]])
-        assert sparsity_graph(m, 0.0).nnz == 1
-        assert sparsity_graph(m, 1e-9).nnz == 0
+        assert len(block_edges(m, 0.0)) == 1
+        assert block_edges(m, 1e-9) == []
 
 
 class TestIsForest:
     def test_path_star(self):
         g = SparseSymMatrix(4, np.ones(4), [0, 0, 2], [1, 2, 3], [1.0, 1.0, 1.0])
-        assert is_forest(g)
+        assert block_is_forest(g.to_dense())
 
     def test_complete_graph(self):
-        g = sparsity_graph(np.ones((4, 4)) + 4 * np.eye(4), 0.0)
-        assert not is_forest(g)
+        assert not block_is_forest(np.ones((4, 4)) + 4 * np.eye(4))
 
     def test_union_graph_of_ladder1(self):
         model = ladder1_model()
         k, n = model.k, model.N
-        pairs = set()
+        union = np.eye(n)
         for ell, b in enumerate(model.sigma_blocks):
-            g = sparsity_graph(b, 0.0)
-            pairs |= {(i + ell * k, j + ell * k) for i, j, _ in g.edges}
-        rows = sorted(pairs)
-        union = SparseSymMatrix(
-            n,
-            np.zeros(n),
-            [i for i, _ in rows],
-            [j for _, j in rows],
-            np.ones(len(rows)),
-        )
-        assert is_forest(union)
+            for i, j in block_edges(b):
+                union[i + ell * k, j + ell * k] = 1.0
+        assert block_is_forest(union)
 
     def test_empty_graph(self):
-        assert is_forest(SparseSymMatrix(5, np.ones(5)))
+        assert block_is_forest(np.eye(5))
 
 
 class TestValidate:
@@ -250,6 +244,11 @@ class TestValidate:
     def test_negative_zero_tol_rejected(self):
         with pytest.raises(ValueError, match="zero_tol"):
             validate(ladder1_model(), zero_tol=-1.0)
+
+    def test_nan_zero_tol_rejected(self):
+        # NaN compares false with every entry, so it would drop all edges.
+        with pytest.raises(ValueError, match="zero_tol"):
+            validate(ladder1_model(), zero_tol=math.nan)
 
 
 class TestAssembleGlobalPrecision:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -17,8 +18,8 @@ from gaussdual import (
     save_model,
     spd_inverse,
 )
-from gaussdual.modelio import dual_to_dict, model_from_dict, model_to_dict
-from helpers import EXAMPLES_DIR, LADDER1_BLOCK, ladder1_model
+from gaussdual.modelio import dual_to_dict, model_from_dict, write_model
+from helpers import EXAMPLES_DIR, LADDER1_BLOCK, edge_list, ladder1_model
 
 
 def doc_for(blocks, k=2, L=None, version="1"):
@@ -195,8 +196,9 @@ class TestRoundTrip:
 
     def test_dict_round_trip(self):
         model = ladder1_model()
-        doc = model_to_dict(model, metadata={"name": "x"})
-        again, meta = model_from_dict(doc)
+        text = io.StringIO()
+        write_model(text, model, metadata={"name": "x"})
+        again, meta = model_from_dict(json.loads(text.getvalue()))
         assert np.array_equal(again.sigma_blocks, model.sigma_blocks)
         assert meta == {"name": "x"}
 
@@ -212,7 +214,7 @@ class TestDualDump:
         assert doc["variable_map"] == dual.variable_map.tolist()
         assert doc["dual_precision"]["diag"] == g.diag.tolist()
         assert doc["dual_precision"]["edges"] == [
-            [i, j, w] for i, j, w in g.edges
+            list(e) for e in edge_list(g.to_dense())
         ]
 
     def test_empty_dual(self):
