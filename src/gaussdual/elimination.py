@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotAForest, NotPositiveDefinite
-from .linalg import _cholesky, _first_bad_pivot, _logdet, pivot_floor, symmetrize
+from .linalg import _first_bad_pivot, _logdet, pivot_floor, symmetrize
 from .model import SparseSymMatrix, _lower_band
 
 
@@ -240,15 +240,32 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
 
 
 def logdet_dense(m):
-    """Dense Cholesky log-determinant; the oracle for the other backends."""
+    """Dense Cholesky log-determinant; the oracle for the other backends.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a pivot is at or below `linalg.pivot_floor`; ``pivot_index`` is
+        its index.
+    """
     t0 = time.perf_counter()
     # A SparseSymMatrix is symmetric by construction: no symmetrized copy.
     dense = m.to_dense() if isinstance(m, SparseSymMatrix) else symmetrize(m)
-    logdet = float(_logdet(_cholesky(dense, None)))
+    n = dense.shape[0]
+    floor = pivot_floor(np.diagonal(dense))
+    # dense is a fresh C-ordered array, so its transpose, the same matrix,
+    # is Fortran-ordered and LAPACK factors it in place.
+    lower, info = lapack.dpotrf(dense.T, lower=1, overwrite_a=1)
+    p = _first_bad_pivot(np.diagonal(lower), floor, info)
+    if p is not None:
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite (pivot {p})", pivot_index=p
+        )
+    logdet = float(_logdet(lower))
     wall = (time.perf_counter() - t0) * 1e3
     return LogDetReport(
         method="dense",
         logdet=logdet,
-        n=dense.shape[0],
-        stats={"pivots": dense.shape[0], "depth": dense.shape[0], "wall_ms": wall},
+        n=n,
+        stats={"pivots": n, "depth": n, "wall_ms": wall},
     )

@@ -54,6 +54,12 @@ def _path_edges(k):
     return [(p, p + 1) for p in range(k - 1)]
 
 
+def _repeat(edges, count):
+    """One list of edges as a (count, E, 2) array of identical rows."""
+    row = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return np.broadcast_to(row, (count, *row.shape))
+
+
 def _random_tree_edges(k, rng):
     """Uniform random labelled tree on k vertices (Prüfer decoding)."""
     if k <= 1:
@@ -96,27 +102,18 @@ def generate(spec):
     k, L = spec.k, spec.L
     rng = np.random.default_rng(spec.seed)
 
-    if spec.structure == "star_pattern":
-        group_edges = [_path_edges(k)] * (L + 1)
-    elif spec.structure == "random_tree":
-        group_edges = [_random_tree_edges(k, rng) for _ in range(L + 1)]
+    # Edges of the L+1 boundary groups as an (L+1, E, 2) array.
+    if spec.structure == "random_tree":
+        trees = [_random_tree_edges(k, rng) for _ in range(L + 1)]
+        groups = np.array(trees, dtype=np.int64).reshape(L + 1, k - 1, 2)
     else:
-        group_edges = [[]] * (L + 1)
-
-    # Per-block edge lists as (L, E) index arrays; E is constant across
-    # blocks (k-1 edges per half plus one cross edge, or none).
-    per_block = [
-        group_edges[ell]
-        + [(i + k, j + k) for i, j in group_edges[ell + 1]]
-        + ([] if spec.structure == "diagonal" else [(0, k)])
-        for ell in range(L)
-    ]
-    ei = np.asarray(
-        [[e[0] for e in edges] for edges in per_block], dtype=np.int64
-    ).reshape(L, -1)
-    ej = np.asarray(
-        [[e[1] for e in edges] for edges in per_block], dtype=np.int64
-    ).reshape(L, -1)
+        path = _path_edges(k) if spec.structure == "star_pattern" else []
+        groups = _repeat(path, L + 1)
+    # Block ell: its left group, its right group shifted by k, and the one
+    # cross edge (0, k) unless the structure is diagonal.
+    cross = _repeat([] if spec.structure == "diagonal" else [(0, k)], L)
+    edges = np.concatenate([groups[:-1], groups[1:] + k, cross], axis=1)
+    ei, ej = edges[..., 0], edges[..., 1]
 
     blocks = np.zeros((L, 2 * k, 2 * k))
     n_edges = ei.shape[1]

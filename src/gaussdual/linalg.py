@@ -67,7 +67,11 @@ def _symmetric_part(m, label, rtol=SYMMETRY_RTOL):
                 f"{_name(m, label, ell)} is not symmetric "
                 f"(max |m - m.T| = {asym.flat[ell]:.3e})"
             )
-    return 0.5 * (m + t)
+    # Halve before adding: m + t overflows on finite entries above about
+    # 9e307. numpy adds into the temporary 0.5 * m, so the stack-sized
+    # result is allocated first, not above a freed temporary: that hole
+    # let glibc trim the heap and refault it on every later route call.
+    return 0.5 * m + 0.5 * t
 
 
 def symmetrize(m, rtol=SYMMETRY_RTOL):

@@ -161,8 +161,9 @@ def _block_forests(stack, zero_tol):
     """Which blocks of a (L, m, m) stack have a cycle-free sparsity graph.
 
     Pair (i, j), i < j, of block ell is an edge iff |stack[ell, i, j]| >
-    zero_tol. All L graphs are counted at once, as one block-diagonal
-    graph on L·m vertices, whose components never span two blocks.
+    zero_tol. A block with m or more edges has a cycle. The graphs of the
+    other blocks are counted at once, as one block-diagonal graph whose
+    components never span two blocks.
 
     Returns the length-L boolean array and the edges (ell, i, j), block
     by block and row-major within a block.
@@ -171,11 +172,20 @@ def _block_forests(stack, zero_tol):
     iu, ju = np.triu_indices(m, 1)
     ell, e = np.nonzero(np.abs(stack[:, iu, ju]) > zero_tol)
     i, j = iu[e], ju[e]
-    n_comp, labels = _components(L * m, ell * m + i, ell * m + j)
-    block_of = np.empty(n_comp, dtype=np.intp)
-    block_of[labels] = np.arange(L * m) // m
-    components = np.bincount(block_of, minlength=L)
-    return np.bincount(ell, minlength=L) == m - components, (ell, i, j)
+    n_edges = np.bincount(ell, minlength=L)
+    forest = n_edges < m
+    sparse = np.flatnonzero(forest)
+    if sparse.size:
+        # Vertex v of the s-th sparse block is s·m + v.
+        keep = forest[ell]
+        base = (np.cumsum(forest) - 1)[ell[keep]] * m
+        n = sparse.size * m
+        n_comp, labels = _components(n, base + i[keep], base + j[keep])
+        block_of = np.empty(n_comp, dtype=np.intp)
+        block_of[labels] = np.arange(n) // m
+        components = np.bincount(block_of, minlength=sparse.size)
+        forest[sparse] = n_edges[sparse] == m - components
+    return forest, (ell, i, j)
 
 
 def _block_tridiagonal(stack, k):

@@ -242,5 +242,14 @@ class TestLogdetDense:
         )
 
     def test_not_spd(self):
-        with pytest.raises(NotPositiveDefinite):
+        message = r"^matrix is not positive definite \(pivot 1\)$"
+        with pytest.raises(NotPositiveDefinite, match=message) as exc:
             logdet_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert exc.value.pivot_index == 1
+
+    def test_leaves_input_unchanged(self):
+        m = random_spd_dense(5, np.random.default_rng(3))
+        for a in (m, np.asfortranarray(m)):
+            before = a.copy()
+            logdet_dense(a)
+            assert np.array_equal(a, before)

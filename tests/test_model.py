@@ -19,6 +19,7 @@ from helpers import (
     LADDER1_BLOCK,
     LADDER2_S1,
     edge_list,
+    is_forest_union_find,
     ladder1_model,
     ladder2_model,
     validate_reference,
@@ -81,6 +82,12 @@ class TestLadderModel:
         blocks[1, 0, 0] = value
         with pytest.raises(ValueError, match="covariance block 1 contains non-finite"):
             LadderModel(2, 3, blocks)
+
+    def test_huge_finite_entries_stored(self):
+        # Symmetrizing halves before it adds, so 1.5e308 does not overflow.
+        blocks = np.diag([1.5e308, 1.0, 1.5e308, 2.0])[None]
+        m = LadderModel(2, 1, blocks)
+        assert np.array_equal(m.sigma_blocks, blocks)
 
     def test_blocks_read_only(self):
         m = ladder1_model()
@@ -165,6 +172,31 @@ class TestIsForest:
 
     def test_empty_graph(self):
         assert block_is_forest(np.eye(5))
+
+
+class TestBlockForests:
+    def test_mixed_forest_and_dense_blocks(self):
+        # Blocks 0 and 3 are complete graphs (6 edges on 4 vertices);
+        # block 1 is a path, block 2 a triangle plus an isolated vertex
+        # (3 edges, but a cycle), block 4 two edges of a star.
+        stack = np.tile(np.eye(4) * 5.0, (5, 1, 1))
+        stack[[0, 3]] += np.ones((4, 4)) - np.eye(4)
+        sparse = {
+            1: [(0, 1), (1, 2), (2, 3)],
+            2: [(0, 1), (1, 2), (0, 2)],
+            4: [(0, 1), (0, 3)],
+        }
+        for b, edges in sparse.items():
+            for i, j in edges:
+                stack[b, i, j] = stack[b, j, i] = 1.0
+        forest, (ell, i, j) = _block_forests(stack, 0.0)
+        assert forest.tolist() == [False, True, False, False, True]
+        assert ell.tolist() == [0] * 6 + [1] * 3 + [2] * 3 + [3] * 6 + [4] * 2
+        edges = list(zip(ell.tolist(), i.tolist(), j.tolist()))
+        for b in range(5):
+            own = [(p, q) for e, p, q in edges if e == b]
+            assert own == block_edges(stack[b])
+            assert forest[b] == is_forest_union_find(4, own)
 
 
 class TestValidate:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -234,6 +235,73 @@ class TestDualDump:
             [2, 3, 2.0],
         ]
         assert doc["pinned"] == [0, 1, 6, 7]
+
+
+@pytest.fixture
+def gc_state():
+    """Yield a setter for the collector's state; restore it afterwards."""
+    was_enabled = gc.isenabled()
+
+    def set_enabled(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_enabled
+    set_enabled(was_enabled)
+
+
+class TestCollectorPause:
+    """Loading and saving pause the cyclic collector and restore its state."""
+
+    @pytest.fixture(scope="class")
+    def big_model(self):
+        return generate(GenSpec(k=3, L=2000, seed=1))
+
+    def collections_during(self, call):
+        runs = []
+
+        def count(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        # Start from an empty young generation, so that the few objects
+        # the call keeps cannot tip it over its threshold.
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            call()
+        finally:
+            gc.callbacks.remove(count)
+        return runs
+
+    def test_no_collection_during_save_or_load(self, tmp_path, big_model, gc_state):
+        gc_state(True)
+        path = tmp_path / "big.json"
+        assert self.collections_during(lambda: save_model(path, big_model)) == []
+        assert self.collections_during(lambda: load_model(path)) == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, tmp_path, gc_state, enabled):
+        path = tmp_path / "m.json"
+        gc_state(enabled)
+        with open(path, "w") as fh:
+            write_model(fh, ladder1_model())
+        assert gc.isenabled() is enabled
+        load_model(path)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", corrupt_block_3(lambda b: b[1].pop())],
+        ids=["invalid-json", "malformed-block"],
+    )
+    def test_state_restored_on_error(self, tmp_path, gc_state, enabled, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        gc_state(enabled)
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        assert gc.isenabled() is enabled
 
 
 def test_log_constant_preserved():
