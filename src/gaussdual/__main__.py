@@ -1,0 +1,8 @@
+"""``python -m gaussdual``: the same command line as ``gaussdual``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

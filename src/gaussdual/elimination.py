@@ -219,16 +219,7 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
     if nb > 1 and c.shape != (nb - 1, k, k):
         raise DimensionMismatch("off-diagonal blocks must all be k×k")
 
-    band = _lower_band(a, c.reshape(nb - 1, k, k))
-    floor = pivot_floor(band[0])
-    factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-    i = _first_bad_pivot(factor[0], floor, info)
-    if i is not None:
-        raise NotPositiveDefinite(
-            f"Schur complement {i // k} is not positive definite (pivot {i})",
-            pivot_index=i,
-        )
-    logdet = 2.0 * float(np.sum(np.log(factor[0])))
+    logdet = _banded_logdet(a, c.reshape(nb - 1, k, k))
 
     wall = (time.perf_counter() - t0) * 1e3
     return LogDetReport(
@@ -237,6 +228,26 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
         n=nb * k,
         stats={"pivots": nb * k, "depth": nb, "wall_ms": wall},
     )
+
+
+def _banded_logdet(diag_blocks, off_blocks, floor=None):
+    """log det of a block-tridiagonal matrix by one ``dpbtrf`` call.
+
+    Raises NotPositiveDefinite at the first pivot at or below ``floor``,
+    by default `pivot_floor` of the matrix's own diagonal.
+    """
+    k = diag_blocks.shape[-1]
+    band = _lower_band(diag_blocks, off_blocks)
+    if floor is None:
+        floor = pivot_floor(band[0])
+    factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    i = _first_bad_pivot(factor[0], floor, info)
+    if i is not None:
+        raise NotPositiveDefinite(
+            f"Schur complement {i // k} is not positive definite (pivot {i})",
+            pivot_index=i,
+        )
+    return 2.0 * float(np.sum(np.log(factor[0])))
 
 
 def logdet_dense(m):

@@ -8,13 +8,22 @@ Two independent routes to log det(Σ):
   is block-tridiagonal like J, so its band is sliced from the covariance
   stack and eliminated by the same banded Cholesky, whatever its graph.
 
+From `rake._RAKE_MIN_BLOCKS` blocks on, "block_tridiag" first rakes the
+leaves of the stack's shared zero pattern (`rake.raked_logdets`): the
+block graph's leaves for the local log-dets, the group graph's for
+Σ′⁻¹. The batched Cholesky then gets only each block's survivors and
+the band only each group's. With nothing to rake, or a pivot at or
+below its floor, the unraked kernels run on the unraked arrays, so
+their values and errors are unchanged.
+
 Both routes hand their k×k blocks to one kernel dispatch, `_eliminate`,
 so "dense" eliminates exactly the matrix the band holds. Their
 agreement is the substantive correctness check of the whole package,
 and `duality_check` states it as a relation between the primal and
-dual normalization constants. Both routes start from one Cholesky
-factorization of the covariance stack: the dual route takes the local
-log-determinants from it, the direct route J's blocks.
+dual normalization constants. When both routes run, they start from
+one Cholesky factorization of the covariance stack: the dual route
+takes the local log-determinants from it, the direct route J's
+blocks, and only Σ′⁻¹ is raked.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +32,7 @@ from .dual import LOG_2PI, build_dual
 from .elimination import logdet_block_tridiagonal, logdet_dense
 from .linalg import _inverse, _logdet
 from .model import _block_tridiagonal, _covariance_factor, _sparse_from_blocks
+from .rake import raked_logdets
 
 
 @dataclass
@@ -82,24 +92,36 @@ def _logdet_direct(lower, k, method):
 def _pass(model, dual_method, direct_method=None):
     """Both routes over one factorization of the covariance stack.
 
-    The stack is factored first, so a bad covariance block is named
-    before either route runs. Returns the length-L local log-dets,
-    log det(Σ′⁻¹) and, if ``direct_method`` is given, log det(Σ) by the
-    direct route.
+    Returns the length-L local log-dets, log det(Σ′⁻¹) and, if
+    ``direct_method`` is given, log det(Σ) by the direct route. On
+    "block_tridiag", `raked_logdets` first rakes the leaves of the
+    stack's shared zero pattern; the local log-dets are raked only when
+    no direct route needs the factor. The rake never raises, and the
+    stack is factored before the band, so a bad covariance block is
+    named before Σ′⁻¹ is judged.
     """
     _check_method(dual_method)
     if direct_method is not None:
         _check_method(direct_method)
-    lower = _covariance_factor(model)
-    locals_ = _logdet(lower)
-    ld_direct = None
-    if direct_method is not None:
-        ld_direct = _logdet_direct(lower, model.k, direct_method)
-    del lower  # freed before the dual's band is built
-    # Σ′⁻¹ is the overlap-add of the blocks at stride k, couplings
-    # negated, without the first and last block row.
-    diag_blocks, off_blocks = _block_tridiagonal(model.sigma_blocks, model.k)
-    ld_prime_inv = _eliminate(diag_blocks[1:-1], -off_blocks[1:-1], dual_method)
+    stack, k = model.sigma_blocks, model.k
+    locals_ = ld_prime_inv = ld_direct = None
+    if dual_method == "block_tridiag":
+        locals_, ld_prime_inv = raked_logdets(stack, k, direct_method is None)
+    if locals_ is None:
+        lower = _covariance_factor(model)
+        locals_ = _logdet(lower)
+        if direct_method is not None:
+            ld_direct = _logdet_direct(lower, k, direct_method)
+        del lower  # freed before the dual's band is built
+    if ld_prime_inv is None:
+        # Σ′⁻¹ is the overlap-add of the blocks at stride k, couplings
+        # negated, without the first and last block row. The negation is
+        # not made: with D = diag(I, −I, I, …), M(−C) = D·M(C)·D, and
+        # both Cholesky kernels give such a pair the same pivots bit for
+        # bit, since only the signs of the off-diagonal factor entries
+        # differ.
+        diag_blocks, off_blocks = _block_tridiagonal(stack, k)
+        ld_prime_inv = _eliminate(diag_blocks[1:-1], off_blocks[1:-1], dual_method)
     return locals_, ld_prime_inv, ld_direct
 
 

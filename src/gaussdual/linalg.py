@@ -121,14 +121,16 @@ def _first_bad_pivot(lower_diag, floor, info=0):
     return info - 1 if info > 0 else None
 
 
-def _cholesky(m, label):
+def _cholesky(m, label, floor=None):
     """Lower Cholesky factor of a symmetric (n, n) matrix or (L, n, n) stack.
 
     Raises NotPositiveDefinite at the first pivot, of the first block,
-    at or below `pivot_floor`, naming the block by ``label(ell)``.
+    at or below ``floor``, naming the block by ``label(ell)``. The floor,
+    one per block, defaults to `pivot_floor` of the block's diagonal.
     """
     n = m.shape[-1]
-    floor = pivot_floor(np.diagonal(m, axis1=-2, axis2=-1))
+    if floor is None:
+        floor = pivot_floor(np.diagonal(m, axis1=-2, axis2=-1))
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

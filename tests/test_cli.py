@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,3 +339,31 @@ class TestBenchCommand:
     def test_unknown_method_is_usage_error(self, capsys):
         args = ["bench", "--k", "2", "--l-schedule", "5", "--methods", "magic"]
         assert main(args) == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m gaussdual`` runs the same command line as `main`."""
+
+    def run(self, *args):
+        src = str(EXAMPLES_DIR.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+        return subprocess.run(
+            [sys.executable, "-m", "gaussdual", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    def test_help_exits_0(self):
+        done = self.run("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: gaussdual")
+
+    def test_logdet_matches_main(self, capsys):
+        done = self.run("logdet", EXAMPLE1, "--json")
+        assert done.returncode == 0
+        assert main(["logdet", EXAMPLE1, "--json"]) == 0
+        expected = json.loads(capsys.readouterr().out)["logdet"]
+        assert json.loads(done.stdout)["logdet"] == expected

@@ -14,7 +14,11 @@ from gaussdual import (
     spd_inverse,
     validate,
 )
-from gaussdual.model import _block_forests, assemble_global_precision
+from gaussdual.model import (
+    _block_forests,
+    _symmetric_block_forests,
+    assemble_global_precision,
+)
 from helpers import (
     LADDER1_BLOCK,
     LADDER2_S1,
@@ -197,6 +201,20 @@ class TestBlockForests:
             own = [(p, q) for e, p, q in edges if e == b]
             assert own == block_edges(stack[b])
             assert forest[b] == is_forest_union_find(4, own)
+        assert _symmetric_block_forests(stack, 0.0).tolist() == forest.tolist()
+
+    @pytest.mark.parametrize("zero_tol", [0.0, 0.05, 0.3])
+    def test_symmetric_stack_flags_match(self, zero_tol):
+        # Precision stacks of forest covariances: mostly complete graphs,
+        # but a raised zero_tol leaves forests and cycles among them.
+        for structure in ("star_pattern", "random_tree", "diagonal"):
+            model = generate(GenSpec(k=3, L=30, seed=5, structure=structure))
+            stack = spd_inverse(model.sigma_blocks)
+            assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
+            assert np.array_equal(
+                _symmetric_block_forests(stack, zero_tol),
+                _block_forests(stack, zero_tol)[0],
+            )
 
 
 class TestValidate:
