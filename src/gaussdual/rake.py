@@ -22,8 +22,6 @@ nothing to rake, or a rejected pivot, returns None, and the caller runs
 the unraked kernel, so values, errors and messages are then exactly its.
 """
 
-import itertools
-
 import numpy as np
 
 from .elimination import _banded_logdet
@@ -53,22 +51,61 @@ def _chunks(stack, start=0):
     return (slice(lo, lo + step) for lo in range(start, len(stack), step))
 
 
-def _union_pattern(stack, k):
-    """Union of the blocks' exact non-zero patterns (−0.0 is a zero).
+def _scan(stack, k, local):
+    """`_schedules` of the union of the blocks' patterns, scanned once.
 
-    Returns None once no vertex of either graph can be a leaf, which a
-    growing pattern cannot undo. A first block with no zeros settles
-    that for k > 1, so a dense stack costs one block's scan; otherwise
-    the rest is scanned a chunk at a time, and checked after each.
+    The pattern is the union of the blocks' exact non-zeros, so −0.0 is
+    a zero. It only grows, so the scan stops as soon as neither graph is
+    worth raking. A first block with no zeros settles that for k > 1,
+    so a dense stack costs one block's scan; otherwise the rest is
+    scanned a chunk at a time, and checked after each chunk that adds
+    an edge.
     """
     pattern = stack[0] != 0
     if k > 1 and pattern.all():
-        return None
+        return None, None
+    seen = -1
     for chunk in _chunks(stack, 1):
         pattern |= (stack[chunk] != 0).any(axis=0)
-        if _no_leaf(pattern, k):
-            return None
-    return pattern
+        count = np.count_nonzero(pattern)
+        if count != seen:
+            seen = count
+            if _no_leaf(pattern, k):
+                return None, None
+            block, group = _schedules(pattern, k, local)
+            if block is None and group is None:
+                return None, None
+    return block, group
+
+
+def _schedules(pattern, k, local):
+    """(steps, survivors) of the block graph and of the group graph.
+
+    A graph is raked only when it has a leaf and at most half of its
+    vertices survive; otherwise, or for the block graph when ``local``
+    is false, its entry is None. Gathering r survivors costs L·r²
+    scattered reads, about what factoring all 2k vertices costs once r
+    nears 2k.
+    """
+    m = 2 * k
+    # Edges (a, b, s) of both graphs, from the pattern's upper triangle.
+    block_edges, group_edges = [], set()
+    for i, row in enumerate(pattern.tolist()):
+        for j in range(i + 1, m):
+            if row[j]:
+                block_edges.append((i, j, 0))
+                if j < k or i >= k:
+                    group_edges.add((i % k, j % k, 0))
+                else:
+                    group_edges.add((i, j - k, 1))
+    block = _worth(_peel(m, block_edges), m) if local else None
+    return block, _worth(_peel(k, group_edges), k)
+
+
+def _worth(schedule, n):
+    """``schedule``, or None if it rakes nothing or keeps over n/2 vertices."""
+    steps, survivors = schedule
+    return schedule if steps and 2 * len(survivors) <= n else None
 
 
 def _peel(n, edges):
@@ -98,17 +135,9 @@ def _peel(n, edges):
     return steps, [v for v in range(n) if v not in eliminated]
 
 
-def _upper(survivors):
-    """Strict upper triangle of the survivors' r×r block: its row and
-    column positions, and the vertex pairs there, as lists."""
-    pairs = list(itertools.combinations(range(len(survivors)), 2))
-    iu, ju = [x for x, _ in pairs], [y for _, y in pairs]
-    return iu, ju, [(survivors[x], survivors[y]) for x, y in pairs]
-
-
-def _rake_blocks(m, steps, survivors, rows, at):
+def _rake_blocks(stack, steps, survivors, rows, at):
     """Length-L local log-dets by raking the block graph, or None."""
-    d = rows[[at[i, i] for i in range(m)]]
+    d = rows[[at[i, i] for i in range(stack.shape[-1])]]
     floor = pivot_floor(d.T)
     for v, u, _ in steps:
         if u >= 0:
@@ -119,13 +148,10 @@ def _rake_blocks(m, steps, survivors, rows, at):
         return None
     logdet = np.log(pivots).sum(axis=0)
     if survivors:
-        r = len(survivors)
-        iu, ju, pairs = _upper(survivors)
-        rest = np.empty((d.shape[1], r, r))
-        if pairs:
-            rest[:, iu, ju] = rest[:, ju, iu] = rows[[at[a, b] for a, b in pairs]].T
-        i = list(range(r))
-        rest[:, i, i] = d[survivors].T
+        r = np.asarray(survivors)
+        rest = stack[:, r[:, None], r]
+        i = np.arange(r.size)
+        rest[:, i, i] = d[r].T
         try:
             logdet += _logdet(_cholesky(rest, _BLOCK, floor))
         except NotPositiveDefinite:
@@ -133,7 +159,7 @@ def _rake_blocks(m, steps, survivors, rows, at):
     return logdet
 
 
-def _rake_groups(k, steps, survivors, rows, at):
+def _rake_groups(stack, k, steps, survivors, rows, at):
     """log det(Σ′⁻¹) by raking the periodic group graph, or None.
 
     Group g, g = 0 … L − 2, is the bottom-right corner of block g plus
@@ -162,18 +188,11 @@ def _rake_groups(k, steps, survivors, rows, at):
         return None
     logdet = float(np.log(pivots).sum())
     if survivors:
-        r = len(survivors)
-        iu, ju, pairs = _upper(survivors)
-        diag = np.empty((d.shape[1], r, r))  # only the upper triangle is read
-        if pairs:
-            diag[:, iu, ju] = (
-                rows[[at[k + a, k + b] for a, b in pairs], :-1]
-                + rows[[at[a, b] for a, b in pairs], 1:]
-            ).T
-        i = list(range(r))
-        diag[:, i, i] = d[survivors].T
-        cross = [at[a, k + b] for a in survivors for b in survivors]
-        off = rows[cross, 1:-1].T.reshape(-1, r, r)
+        r = np.asarray(survivors)
+        diag = stack[1:, r[:, None], r] + stack[:-1, k + r[:, None], k + r]
+        i = np.arange(r.size)
+        diag[:, i, i] = d[r].T
+        off = stack[1:-1, r[:, None], k + r]
         try:
             logdet += _banded_logdet(diag, off, floor)
         except NotPositiveDefinite:
@@ -200,48 +219,30 @@ def _gather(stack, entries):
 def raked_logdets(stack, k, local=True):
     """Local log-dets and log det(Σ′⁻¹) of a (L, 2k, 2k) stack by raking.
 
-    Either value is None when its graph has nothing to rake, a pivot is
-    at or below its floor, or L < _RAKE_MIN_BLOCKS; the caller then runs
-    the unraked kernel. ``local=False`` skips the block graph.
+    Either value is None when its graph has too little to rake (see
+    `_schedules`), a pivot is at or below its floor, or L <
+    _RAKE_MIN_BLOCKS; the caller then runs the unraked kernel.
+    ``local=False`` skips the block graph.
     """
-    L, m = stack.shape[0], 2 * k
-    if L < _RAKE_MIN_BLOCKS:
+    m = 2 * k
+    # One block leaves Σ′⁻¹ empty, and its own log-det is one Cholesky.
+    if len(stack) < max(_RAKE_MIN_BLOCKS, 2):
         return None, None
-    pattern = _union_pattern(stack, k)
-    if pattern is None:
+    block, group = _scan(stack, k, local)
+    if block is None and group is None:
         return None, None
-    # Edges (a, b, s) of both graphs, from the pattern's upper triangle.
-    block_edges, group_edges = [], set()
-    for i, row in enumerate(pattern.tolist()):
-        for j in range(i + 1, m):
-            if row[j]:
-                block_edges.append((i, j, 0))
-                if j < k or i >= k:
-                    group_edges.add((i % k, j % k, 0))
-                elif i < k:
-                    group_edges.add((i, j - k, 1))
-    block_steps, block_rest = [], []
-    group_steps, group_rest = [], []
-    if local:
-        block_steps, block_rest = _peel(m, block_edges)
-    if L > 1:  # one block leaves Σ′⁻¹ empty
-        group_steps, group_rest = _peel(k, group_edges)
-    if not block_steps and not group_steps:
-        return None, None
+    block_steps, block_rest = block or ([], [])
+    group_steps, group_rest = group or ([], [])
 
-    # Every entry the two schedules and their survivors read.
+    # Every entry the two schedules read.
     entries = [(i, i) for i in range(m)]
     entries += [(v, u) for v, u, _ in block_steps if u >= 0]
-    entries += itertools.combinations(block_rest, 2)
     for v, u, s in group_steps:
         if u >= 0:
             if s == 0:
                 entries += [(v, u), (k + v, k + u)]
             else:
                 entries.append((v, k + u) if s == 1 else (u, k + v))
-    for a, b in itertools.combinations(group_rest, 2):
-        entries += [(a, b), (k + a, k + b)]
-    entries += [(a, k + b) for a in group_rest for b in group_rest]
     rows, at = _gather(stack, entries)
 
     locals_ = ld = None
@@ -249,7 +250,7 @@ def raked_logdets(stack, k, local=True):
     # pivot checks reject the result, NaN included, before any log.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if block_steps:
-            locals_ = _rake_blocks(m, block_steps, block_rest, rows, at)
+            locals_ = _rake_blocks(stack, block_steps, block_rest, rows, at)
         if group_steps:
-            ld = _rake_groups(k, group_steps, group_rest, rows, at)
+            ld = _rake_groups(stack, k, group_steps, group_rest, rows, at)
     return locals_, ld

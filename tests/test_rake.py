@@ -70,7 +70,7 @@ def _periodic(k, L, within, cross, seed=3):
     return blocks
 
 
-def _late_edge(k=5, L=64, ell=50):
+def _late_edge(k=8, L=64, ell=50):
     """star_pattern, but block ``ell`` also joins vertices 1 and 3, which
     closes a cycle in both graphs and leaves survivors in each."""
     blocks = generate(GenSpec(k=k, L=L, seed=11)).sigma_blocks.copy()
@@ -122,6 +122,9 @@ def test_one_late_block_adds_an_edge(rake_all):
         pytest.param(3, [(0, 1)], [(0, 0), (2, 1)], id="cross-a-to-b"),
         pytest.param(3, [(0, 1)], [(0, 0), (1, 2)], id="cross-b-to-a"),
         pytest.param(4, [(0, 1), (2, 3)], [(0, 0), (2, 2)], id="two-spines"),
+        pytest.param(
+            4, [(0, 1), (2, 3)], [(0, 0), (2, 2), (0, 2)], id="spines-crossed"
+        ),
     ],
 )
 @pytest.mark.parametrize("L", [2, 3, 64])
