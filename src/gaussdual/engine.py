@@ -12,9 +12,10 @@ From `rake._RAKE_MIN_BLOCKS` blocks on, "block_tridiag" first rakes the
 leaves of the stack's shared zero pattern (`rake.raked_logdets`): the
 block graph's leaves for the local log-dets, the group graph's for
 Σ′⁻¹. The batched Cholesky then gets only each block's survivors and
-the band only each group's. With nothing to rake, or a pivot at or
-below its floor, the unraked kernels run on the unraked arrays, so
-their values and errors are unchanged.
+the band only each group's. With too little to rake (more than half
+of a graph's vertices survive), or a pivot at or below its floor, the
+unraked kernels run on the unraked arrays, so their values and errors
+are unchanged.
 
 Both routes hand their k×k blocks to one kernel dispatch, `_eliminate`,
 so "dense" eliminates exactly the matrix the band holds. Their
