@@ -231,23 +231,35 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
 
 
 def _banded_logdet(diag_blocks, off_blocks, floor=None):
-    """log det of a block-tridiagonal matrix by one ``dpbtrf`` call.
+    """log det of a block-tridiagonal matrix by one ``dpbtrf`` call, or
+    for k = 1 by ``dpttrf``, whose LDLᵀ loop is a few times faster.
 
     Raises NotPositiveDefinite at the first pivot at or below ``floor``,
     by default `pivot_floor` of the matrix's own diagonal.
     """
-    k = diag_blocks.shape[-1]
-    band = _lower_band(diag_blocks, off_blocks)
-    if floor is None:
-        floor = pivot_floor(band[0])
-    factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-    i = _first_bad_pivot(factor[0], floor, info)
+    nb, k, _ = diag_blocks.shape
+    # scipy's dpttrf wrapper rejects the empty off-diagonal of a 1×1 matrix.
+    tridiagonal = k == 1 and nb > 1
+    if tridiagonal:
+        diag = diag_blocks.reshape(nb)
+        if floor is None:
+            floor = pivot_floor(diag)
+        d, _, info = lapack.dpttrf(diag, off_blocks.reshape(nb - 1))
+    else:
+        band = _lower_band(diag_blocks, off_blocks)
+        if floor is None:
+            floor = pivot_floor(band[0])
+        factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        d = factor[0]
+    # The LDLᵀ pivots are d; the Cholesky ones are the squares of d.
+    i = _first_bad_pivot(d, floor, info, squared=not tridiagonal)
     if i is not None:
         raise NotPositiveDefinite(
             f"Schur complement {i // k} is not positive definite (pivot {i})",
             pivot_index=i,
         )
-    return 2.0 * float(np.sum(np.log(factor[0])))
+    logdet = float(np.sum(np.log(d)))
+    return logdet if tridiagonal else 2.0 * logdet
 
 
 def logdet_dense(m):

@@ -106,16 +106,17 @@ def pivot_floor(diag):
     return PIVOT_RTOL * np.fmax(1.0, np.max(diag, axis=-1, initial=-np.inf))
 
 
-def _first_bad_pivot(lower_diag, floor, info=0):
+def _first_bad_pivot(diag, floor, info=0, squared=True):
     """Flat index of the first pivot at or below ``floor``, or None.
 
-    The pivots are the squares of ``lower_diag``, the diagonal of a
-    Cholesky factor. ``info`` is LAPACK's: when positive, pivot info - 1
+    The pivots are the squares of ``diag``, the diagonal of a Cholesky
+    factor, or with ``squared=False`` the entries of ``diag``, the D of
+    an LDLᵀ factor. ``info`` is LAPACK's: when positive, pivot info - 1
     was not positive and the ones after it were never computed.
     """
     if info > 0:
-        lower_diag = lower_diag[: info - 1]
-    bad = np.flatnonzero(lower_diag**2 <= floor)
+        diag = diag[: info - 1]
+    bad = np.flatnonzero((diag**2 if squared else diag) <= floor)
     if bad.size:
         return int(bad[0])
     return info - 1 if info > 0 else None

@@ -245,3 +245,19 @@ def validate_reference(model, zero_tol=0.0):
         assumption3_union_acyclic=a3_union,
         messages=messages,
     )
+
+
+def write_model_reference(fh, model, metadata=None):
+    """`modelio.write_model` as the C JSON encoder writes it: one
+    ``json.dumps`` of each block's nested list. Oracle for the bytes of
+    the writer that formats only each block's distinct entries."""
+    import json
+
+    from gaussdual.modelio import _header
+
+    head = json.dumps(_header(model, metadata), indent=2)
+    fh.write(head[: -len("\n}")] + ',\n  "blocks": [\n')
+    for ell, b in enumerate(model.sigma_blocks.tolist()):
+        sep = ",\n" if ell else ""
+        fh.write(sep + '    {"covariance": ' + json.dumps(b) + "}")
+    fh.write("\n  ]\n}\n")

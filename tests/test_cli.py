@@ -127,8 +127,18 @@ def _with_top_level(path, **extra):
             p, blocks=[{"covariance": [[str(v) for v in row] for row in LADDER1_BLOCK]}]
         ),
         lambda p: _with_top_level(p, comment="not in the schema"),
+        lambda p: _with_top_level(
+            p, k=1, blocks=[{"covariance": [[2.0, True], [True, 2.0]]}]
+        ),
     ],
-    ids=["directory", "deep-nesting", "bool-k", "numeric-strings", "unknown-key"],
+    ids=[
+        "directory",
+        "deep-nesting",
+        "bool-k",
+        "numeric-strings",
+        "unknown-key",
+        "bool-entry",
+    ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make):
     path = tmp_path / "model.json"
@@ -273,12 +283,15 @@ class TestGenCommand:
         assert doc["k"] == 1 and doc["L"] == 2
 
     def test_gen_stdout_matches_out_file(self, tmp_path, capsys):
-        args = ["gen", "--k", "3", "--l", "5", "--seed", "4", "--name", "same"]
-        out = tmp_path / "gen.json"
-        assert main(args + ["--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert capsys.readouterr().out.encode() == out.read_bytes()
+        # At k = 4 the writer formats 2048 blocks at a time: L = 4099 ends
+        # in a third, short chunk.
+        for k, L in [("3", "5"), ("4", "4099")]:
+            args = ["gen", "--k", k, "--l", L, "--seed", "4", "--name", "same"]
+            out = tmp_path / "gen.json"
+            assert main(args + ["--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(args) == 0
+            assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_gen_bad_weight_range(self, capsys):
         args = ["gen", "--k", "2", "--l", "3", "--weight-range", "0", "1"]

@@ -3,20 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import lapack
+
 from gaussdual import (
     DimensionMismatch,
+    GenSpec,
     NotPositiveDefinite,
     SparseSymMatrix,
+    generate,
     logdet_block_tridiagonal,
     logdet_dense,
+    logdet_sigma_direct,
+    logdet_sigma_via_duality,
 )
 from gaussdual.elimination import (
+    _banded_logdet,
     block_partition,
     logdet_tree_bp,
     tree_elimination_order,
 )
 from gaussdual.errors import NotAForest
-from gaussdual.model import assemble_global_precision
+from gaussdual.linalg import _first_bad_pivot, pivot_floor
+from gaussdual.model import _lower_band, assemble_global_precision
 from helpers import (
     det_cofactor,
     edge_list,
@@ -223,6 +231,72 @@ class TestLogdetBlockTridiagonal:
 
     def test_empty(self):
         assert logdet_block_tridiagonal([], []).logdet == 0.0
+
+
+def banded_reference(diag, off):
+    """`_banded_logdet` of a tridiagonal matrix by the band kernel, dpbtrf:
+    its log-det, or the message and index of its first bad pivot."""
+    band = _lower_band(diag[:, None, None], off[:, None, None])
+    floor = pivot_floor(band[0])
+    factor, info = lapack.dpbtrf(band, lower=1)
+    i = _first_bad_pivot(factor[0], floor, info)
+    if i is not None:
+        return f"Schur complement {i} is not positive definite (pivot {i})", i
+    return 2.0 * float(np.sum(np.log(factor[0])))
+
+
+def tridiagonal_logdet(diag, off):
+    try:
+        return _banded_logdet(diag[:, None, None], off[:, None, None])
+    except NotPositiveDefinite as exc:
+        return str(exc), exc.pivot_index
+
+
+def random_tridiagonal(n, rng):
+    """Diagonal and off-diagonal of a diagonally dominant tridiagonal matrix."""
+    off = rng.uniform(-1.0, 1.0, n - 1) * 10.0 ** rng.uniform(-3, 3, n - 1)
+    diag = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    return diag * rng.uniform(1.0, 2.0, n) + 10.0 ** rng.uniform(-3, 3, n), off
+
+
+class TestTridiagonalKernel:
+    """k = 1 bands go to dpttrf; dpbtrf is their reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_matches_band_kernel(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            diag, off = random_tridiagonal(n, rng)
+            expected = banded_reference(diag, off)
+            assert tridiagonal_logdet(diag, off) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [0, 1, 17, 99])
+    @pytest.mark.parametrize("pivot", [-1.0, 0.0, 1e-20])
+    def test_bad_pivot_at_chosen_index(self, bad, pivot):
+        diag, off = random_tridiagonal(100, np.random.default_rng(bad))
+        # Its pivot is exactly `pivot`: no coupling to the vertex before.
+        diag[bad] = pivot
+        if bad:
+            off[bad - 1] = 0.0
+        expected = banded_reference(diag, off)
+        assert expected[1] == bad
+        assert tridiagonal_logdet(diag, off) == expected
+
+    @pytest.mark.parametrize("diag", [[1e10, 1.0, 1e-3], [1e13, 5.0, 1.0]])
+    def test_floor_of_the_whole_diagonal(self, diag):
+        # The last two pivots are fine on their own; under the largest
+        # diagonal entry's floor (1e-2, 10) the first of them at or below
+        # it is bad.
+        diag = np.array(diag)
+        expected = banded_reference(diag, np.zeros(2))
+        assert tridiagonal_logdet(diag, np.zeros(2)) == expected
+
+    @pytest.mark.parametrize("structure", ["star_pattern", "random_tree"])
+    def test_k1_ladder_through_both_routes(self, structure):
+        model = generate(GenSpec(k=1, L=300, seed=4, structure=structure))
+        expected = logdet_sigma_direct(model, "dense")
+        assert logdet_sigma_via_duality(model) == pytest.approx(expected, rel=1e-12)
+        assert logdet_sigma_direct(model) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLogdetDense:

@@ -2,6 +2,8 @@ import gc
 import io
 import json
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +22,14 @@ from gaussdual import (
     spd_inverse,
 )
 from gaussdual.modelio import dual_to_dict, model_from_dict, write_model
-from helpers import EXAMPLES_DIR, LADDER1_BLOCK, edge_list, ladder1_model
+from gaussdual.rake import _chunks
+from helpers import (
+    EXAMPLES_DIR,
+    LADDER1_BLOCK,
+    edge_list,
+    ladder1_model,
+    write_model_reference,
+)
 
 
 def doc_for(blocks, k=2, L=None, version="1"):
@@ -134,8 +143,17 @@ class TestLoadErrorsNameTheBlock:
             (lambda b: b[1].pop(), ModelFormatError),  # ragged rows
             (lambda b: b[2].__setitem__(2, "2.0"), ModelFormatError),
             (lambda b: b[0].__setitem__(1, float("nan")), ModelFormatError),
+            (lambda b: b[2].__setitem__(3, True), ModelFormatError),
+            (lambda b: b[1].__setitem__(0, False), ModelFormatError),
         ],
-        ids=["wrong-shape", "ragged-rows", "string-entry", "nan"],
+        ids=[
+            "wrong-shape",
+            "ragged-rows",
+            "string-entry",
+            "nan",
+            "true-entry",
+            "false-entry",
+        ],
     )
     def test_corrupt_block_3(self, tmp_path, mutate, error):
         path = tmp_path / "model.json"
@@ -202,6 +220,127 @@ class TestRoundTrip:
         again, meta = model_from_dict(json.loads(text.getvalue()))
         assert np.array_equal(again.sigma_blocks, model.sigma_blocks)
         assert meta == {"name": "x"}
+
+
+class TestBooleanEntries:
+    """JSON booleans are not numbers, even among numbers in one matrix."""
+
+    MIXED = [[2.0, True], [True, 2.0]]
+
+    def test_mixed_matrix_in_dict_is_rejected(self):
+        blocks = [{"covariance": [[2.0, 1.0], [1.0, 2.0]]}] * 3
+        doc = doc_for(blocks + [{"covariance": self.MIXED}], k=1)
+        with pytest.raises(
+            ModelFormatError, match="block 3 covariance is not a numeric matrix"
+        ):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_mixed_precision_block_is_rejected(self, tmp_path, flag):
+        path = tmp_path / "model.json"
+        mixed = [[2.0, flag], [flag, 2.0]]
+        path.write_text(json.dumps(doc_for([{"precision": mixed}], k=1)))
+        with pytest.raises(
+            ModelFormatError, match="block 0 precision is not a numeric matrix"
+        ):
+            load_model(path)
+
+    def test_false_without_format_version_is_rejected(self, tmp_path):
+        # The file's one "f" is in its "false".
+        doc = doc_for([{"covariance": [[2.0, False], [False, 2.0]]}], k=1)
+        del doc["format_version"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="format_version"):
+            load_model(path)
+
+    def test_all_boolean_matrix_is_rejected(self):
+        doc = doc_for([{"covariance": [[True, False], [False, True]]}], k=1)
+        with pytest.raises(ModelFormatError, match="block 0 covariance"):
+            model_from_dict(doc)
+
+    def test_boolean_metadata_loads_as_before(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, ladder1_model(), {"flag": True, "other": False})
+        model, meta = load_model(path)
+        assert np.array_equal(model.sigma_blocks, ladder1_model().sigma_blocks)
+        assert meta == {"flag": True, "other": False}
+
+
+def special_stack(k, L, seed):
+    """Symmetric (L, 2k, 2k) stack: entries of every scale from 1e-300 to
+    1e300, and half of them ±0.0, integral floats or other values whose
+    text is special."""
+    rng = np.random.default_rng(seed)
+    m = 2 * k
+    x = rng.normal(size=(L, m, m)) * 10.0 ** rng.integers(-300, 301, (L, m, m))
+    specials = [0.0, -0.0, 2.0, -3.0, 1e16, -1e16, 1e22, 0.1, 1e-5, 1e-323]
+    pick = rng.random((L, m, m)) < 0.5
+    x[pick] = rng.choice(specials, size=np.count_nonzero(pick))
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    return np.where(upper, x, np.swapaxes(x, -1, -2))
+
+
+def chunk_size(k):
+    """Blocks per chunk that the writer formats at once."""
+    return next(_chunks(np.zeros((1, 2 * k, 2 * k)))).stop
+
+
+def assert_same_text(model, metadata=None):
+    new, old = io.StringIO(), io.StringIO()
+    write_model(new, model, metadata)
+    write_model_reference(old, model, metadata)
+    assert new.getvalue() == old.getvalue()
+
+
+class TestWriterBytes:
+    """The writer formats each block's distinct entries once, and writes
+    the text that one ``json.dumps`` per block writes."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_special_values_at_chunk_edges(self, k, offset):
+        L = chunk_size(k) + offset
+        model = LadderModel(k, L, special_stack(k, L, seed=10 * k + offset))
+        stack = model.sigma_blocks
+        assert np.signbit(stack[stack == 0]).any()
+        assert_same_text(model, {"name": "edges", "k": k})
+
+    @pytest.mark.parametrize("L", [1, 2, 7])
+    def test_short_ladders(self, L):
+        assert_same_text(LadderModel(3, L, special_stack(3, L, seed=L)))
+
+    def test_smallest_subnormal(self):
+        # LadderModel halves before it adds, and half of 5e-324 rounds to
+        # 0; an asymmetric pair (5e-324, 1e-323) keeps 5e-324 in both.
+        blocks = special_stack(2, 3, seed=1)
+        blocks[:, 0, 1], blocks[:, 1, 0] = 5e-324, 1e-323
+        model = LadderModel(2, 3, blocks)
+        assert (model.sigma_blocks[:, 1, 0] == 5e-324).all()
+        assert_same_text(model)
+
+    @pytest.mark.parametrize("structure", ["star_pattern", "random_tree", "diagonal"])
+    def test_generated_models(self, structure):
+        spec = GenSpec(k=4, L=2 * chunk_size(4) + 3, seed=2, structure=structure)
+        model = generate(spec)
+        assert_same_text(model, {"name": structure, "seed": 2})
+
+    def test_examples_resave(self):
+        for name in ("example1.json", "example2.json"):
+            assert_same_text(*load_model(EXAMPLES_DIR / name))
+
+    def test_memory_does_not_grow_with_L(self):
+        def peak(L):
+            model = generate(GenSpec(k=4, L=L, seed=3, structure="star_pattern"))
+            with open(os.devnull, "w") as sink:
+                tracemalloc.start()
+                try:
+                    write_model(sink, model)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak(8192) < 1.5 * peak(2048)
 
 
 class TestDualDump:
