@@ -13,6 +13,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import asdict
 
 from .dual import build_dual
 from .engine import (
@@ -34,8 +35,17 @@ from .modelio import dual_to_dict, load_model, save_model, write_model
 DENSE_CAP_ENV = "GAUSSDUAL_DENSE_CAP"
 DEFAULT_DENSE_CAP = 4000
 
-METHOD_NAMES = ("duality-bp", "duality-dense", "direct-dense", "direct-blocktri")
-DENSE_METHODS = {"duality-dense", "direct-dense"}
+# Each method is a route and its elimination backend. "duality-bp" is the
+# historical name of the default dual route, kept so that scripts and the
+# benchmark keep working.
+METHODS = {
+    "duality-bp": (logdet_sigma_via_duality, "block_tridiag"),
+    "duality-dense": (logdet_sigma_via_duality, "dense"),
+    "direct-dense": (logdet_sigma_direct, "dense"),
+    "direct-blocktri": (logdet_sigma_direct, "block_tridiag"),
+}
+METHOD_NAMES = tuple(METHODS)
+DENSE_METHODS = {name for name, (_, method) in METHODS.items() if method == "dense"}
 
 # Exponentiating past this overflows a double; det output is suppressed.
 EXP_LIMIT = 700.0
@@ -54,17 +64,8 @@ def _dense_cap():
 
 
 def _run_method(model, name):
-    # "duality-bp" is the historical name of the default dual route,
-    # kept so that scripts and the benchmark keep working.
-    if name == "duality-bp":
-        return logdet_sigma_via_duality(model)
-    if name == "duality-dense":
-        return logdet_sigma_via_duality(model, method="dense")
-    if name == "direct-dense":
-        return logdet_sigma_direct(model, method="dense")
-    if name == "direct-blocktri":
-        return logdet_sigma_direct(model, method="block_tridiag")
-    raise ValueError(f"unknown method {name!r}")
+    route, method = METHODS[name]
+    return route(model, method=method)
 
 
 def _emit(doc, as_json):
@@ -78,16 +79,11 @@ def _emit(doc, as_json):
 def cmd_validate(args):
     model, _ = load_model(args.model)
     report = validate(model, zero_tol=args.zero_tol)
-    doc = {
-        "assumption1_ok": report.assumption1_ok,
-        "assumption2_cycles_present": report.assumption2_cycles_present,
-        "assumption3_blocks_acyclic": report.assumption3_blocks_acyclic,
-        "assumption3_union_acyclic": report.assumption3_union_acyclic,
-    }
+    doc = asdict(report)
     if args.json:
-        doc["messages"] = report.messages
         _emit(doc, True)
     else:
+        del doc["messages"]
         _emit(doc, False)
         for msg in report.messages:
             print(f"note: {msg}")
@@ -141,19 +137,7 @@ def cmd_verify(args):
     model, _ = load_model(args.model)
     check = duality_check(model, tol=args.tol)
     if args.json:
-        _emit(
-            {
-                "ok": check.ok,
-                "residual": check.residual,
-                "tol": check.tol,
-                "log_zprime": check.log_zprime,
-                "log_z": check.log_z,
-                "logdet_via_duality": check.logdet_via_duality,
-                "logdet_direct": check.logdet_direct,
-                "messages": check.messages,
-            },
-            True,
-        )
+        _emit(asdict(check), True)
     else:
         status = "PASS" if check.ok else "FAIL"
         print(f"{status} residual={check.residual!r} tol={check.tol:g}")
@@ -166,16 +150,7 @@ def cmd_z(args):
     model, _ = load_model(args.model)
     report = z_constants(model)
     if args.json:
-        _emit(
-            {
-                "log_zf": report.log_zf,
-                "log_zl": report.log_zl,
-                "log_z": report.log_z,
-                "log_zprime": report.log_zprime,
-                "duality_residual": report.duality_residual,
-            },
-            True,
-        )
+        _emit(asdict(report), True)
     else:
         print(f"log_zf: {report.log_zf!r}")
         zl = report.log_zl

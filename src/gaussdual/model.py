@@ -3,9 +3,9 @@
 A ladder model couples N = (L+1)k zero-mean variables through L local
 covariance blocks of size 2k; consecutive blocks overlap in k variables.
 This module holds the model container, structural validation (positive
-definiteness, acyclicity of the block sparsity graphs, counted as
-connected components over the whole block stack), and assembly of
-the global precision matrix implied by the product of local factors.
+definiteness; acyclicity of the block sparsity graphs, counted by one
+kernel for either stack), and assembly of the global precision matrix
+implied by the product of local factors.
 The covariance stack is symmetrized, factored and inverted whole by
 the kernels in `linalg`; their errors name the covariance block.
 """
@@ -158,57 +158,36 @@ def _components(n, rows, cols):
 
 
 def _block_forests(stack, zero_tol):
-    """Which blocks of a (L, m, m) stack have a cycle-free sparsity graph.
+    """Which blocks of an exactly symmetric (L, m, m) stack have a
+    cycle-free sparsity graph.
 
     Pair (i, j), i < j, of block ell is an edge iff |stack[ell, i, j]| >
-    zero_tol. Returns the length-L boolean array and the edges (ell, i,
-    j), block by block and row-major within a block.
+    zero_tol. The stack must be symmetric bit for bit, because a block's
+    edge count is taken as half the count of its off-diagonal entries
+    above ``zero_tol``. A block with m or more edges has a cycle; the
+    edges of the other blocks are listed and counted at once, as one
+    block-diagonal graph whose components never span two blocks.
+    Returns the length-L boolean array and the listed edges (ell, i, j),
+    block by block and row-major within a block.
     """
-    L, m, _ = stack.shape
-    iu, ju = np.triu_indices(m, 1)
-    ell, e = np.nonzero(np.abs(stack[:, iu, ju]) > zero_tol)
-    i, j = iu[e], ju[e]
-    return _forests(m, np.bincount(ell, minlength=L), ell, i, j), (ell, i, j)
-
-
-def _symmetric_block_forests(stack, zero_tol):
-    """`_block_forests`' flags for an exactly symmetric stack, edges unlisted.
-
-    A block's edge count is half the count of its off-diagonal entries
-    above ``zero_tol``, so edges are gathered only from the blocks with
-    fewer than m of them.
-    """
-    L, m, _ = stack.shape
+    m = stack.shape[-1]
     above = np.abs(stack) > zero_tol
     diagonal = above.diagonal(axis1=1, axis2=2).sum(axis=1)
     n_edges = (above.sum(axis=(1, 2)) - diagonal) // 2
-    sparse = np.flatnonzero(n_edges < m)
-    iu, ju = np.triu_indices(m, 1)
-    s, e = np.nonzero(above[sparse][:, iu, ju])
-    return _forests(m, n_edges, sparse[s], iu[e], ju[e])
-
-
-def _forests(m, n_edges, ell, i, j):
-    """Forest flags from each block's edge count and the edges (ell, i, j)
-    of at least every block with fewer than m edges.
-
-    A block with m or more edges has a cycle. The graphs of the other
-    blocks are counted at once, as one block-diagonal graph whose
-    components never span two blocks.
-    """
     forest = n_edges < m
     sparse = np.flatnonzero(forest)
+    iu, ju = np.triu_indices(m, 1)
+    s, e = np.nonzero(above[sparse][:, iu, ju])
+    i, j = iu[e], ju[e]
     if sparse.size:
         # Vertex v of the s-th sparse block is s·m + v.
-        keep = forest[ell]
-        base = (np.cumsum(forest) - 1)[ell[keep]] * m
         n = sparse.size * m
-        n_comp, labels = _components(n, base + i[keep], base + j[keep])
+        n_comp, labels = _components(n, s * m + i, s * m + j)
         block_of = np.empty(n_comp, dtype=np.intp)
         block_of[labels] = np.arange(n) // m
         components = np.bincount(block_of, minlength=sparse.size)
         forest[sparse] = n_edges[sparse] == m - components
-    return forest
+    return forest, (sparse[s], i, j)
 
 
 def _block_tridiagonal(stack, k):
@@ -312,13 +291,14 @@ def validate(model, zero_tol=0.0):
     a2 = False
     if inverses is not None:
         # The inverse stack is symmetric bit for bit (`linalg._inverse`).
-        a2 = not _symmetric_block_forests(inverses, zero_tol).any()
+        a2 = not _block_forests(inverses, zero_tol)[0].any()
         if not a2:
             messages.append(
                 "some block precision graph is already cycle-free; "
                 "dualization is unnecessary for it"
             )
 
+    # `LadderModel` stores the covariance stack symmetric bit for bit.
     acyclic, (ell, i, j) = _block_forests(model.sigma_blocks, zero_tol)
     cyclic = np.nonzero(~acyclic)[0]
     a3_blocks = cyclic.size == 0
@@ -327,8 +307,9 @@ def validate(model, zero_tol=0.0):
     a3_union = False
     if a3_blocks:
         k, n = model.k, model.N
-        # Structural union: an edge present in two overlapping blocks is
-        # one edge, whatever its weights.
+        # Every block is a forest, with fewer than m edges, so all their
+        # edges are listed. Structural union: an edge present in two
+        # overlapping blocks is one edge, whatever its weights.
         keys = np.unique((i + ell * k) * n + (j + ell * k))
         a3_union = keys.size == n - _components(n, keys // n, keys % n)[0]
         if not a3_union:

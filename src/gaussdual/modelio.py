@@ -145,9 +145,9 @@ def model_from_dict(doc, may_hold_bool=True):
         sym = _symmetric_part(blocks[prec], label)
         blocks[prec] = _inverse(_cholesky(sym, label))
 
-    metadata = doc.get("metadata") or {}
-    _require(isinstance(metadata, dict), "metadata must be an object")
-    return LadderModel(k, L, blocks), dict(metadata)
+    metadata = doc.get("metadata")  # null is the same as absent
+    _require(isinstance(metadata, (dict, type(None))), "metadata must be an object")
+    return LadderModel(k, L, blocks), dict(metadata or {})
 
 
 def _header(model, metadata):
@@ -168,13 +168,15 @@ def _read_json(path):
     numbers the scans take about 1 ms, and searching for both words 17.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         second_f = text.find("f", text.find("f") + 1) >= 0
         booleans = ("u" in text and "true" in text) or (
             second_f and "false" in text
         )
         return json.loads(text), booleans
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text ({exc})") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
 

@@ -14,11 +14,7 @@ from gaussdual import (
     spd_inverse,
     validate,
 )
-from gaussdual.model import (
-    _block_forests,
-    _symmetric_block_forests,
-    assemble_global_precision,
-)
+from gaussdual.model import _block_forests, assemble_global_precision
 from helpers import (
     LADDER1_BLOCK,
     LADDER2_S1,
@@ -132,7 +128,8 @@ class TestSparseSymMatrix:
 
 
 def block_edges(m, zero_tol=0.0):
-    """Edge pairs of one matrix's sparsity graph, as `validate` finds them."""
+    """Edge pairs of one matrix's sparsity graph, as `validate` lists them:
+    all of them if there are fewer than the matrix has rows, else none."""
     _, (_, i, j) = _block_forests(np.asarray(m)[None], zero_tol)
     return list(zip(i.tolist(), j.tolist()))
 
@@ -149,7 +146,9 @@ class TestSparsityGraph:
         assert block_edges(np.eye(4)) == []
 
     def test_dense_precision_is_complete(self):
-        assert len(block_edges(spd_inverse(LADDER1_BLOCK))) == 6
+        precision = spd_inverse(LADDER1_BLOCK)
+        assert not block_is_forest(precision)
+        assert len(edge_list(precision)) == 6
 
     def test_zero_tol_filters(self):
         m = np.array([[1.0, 1e-12], [1e-12, 1.0]])
@@ -171,7 +170,8 @@ class TestIsForest:
         union = np.eye(n)
         for ell, b in enumerate(model.sigma_blocks):
             for i, j in block_edges(b):
-                union[i + ell * k, j + ell * k] = 1.0
+                p, q = i + ell * k, j + ell * k
+                union[p, q] = union[q, p] = 1.0
         assert block_is_forest(union)
 
     def test_empty_graph(self):
@@ -195,26 +195,37 @@ class TestBlockForests:
                 stack[b, i, j] = stack[b, j, i] = 1.0
         forest, (ell, i, j) = _block_forests(stack, 0.0)
         assert forest.tolist() == [False, True, False, False, True]
-        assert ell.tolist() == [0] * 6 + [1] * 3 + [2] * 3 + [3] * 6 + [4] * 2
+        # The dense blocks 0 and 3 have 4 or more edges: none is listed.
+        assert ell.tolist() == [1] * 3 + [2] * 3 + [4] * 2
         edges = list(zip(ell.tolist(), i.tolist(), j.tolist()))
-        for b in range(5):
+        for b, expected in sparse.items():
             own = [(p, q) for e, p, q in edges if e == b]
-            assert own == block_edges(stack[b])
+            assert own == [(p, q) for p, q, _ in edge_list(stack[b])]
+            assert sorted(own) == sorted(expected)
             assert forest[b] == is_forest_union_find(4, own)
-        assert _symmetric_block_forests(stack, 0.0).tolist() == forest.tolist()
 
     @pytest.mark.parametrize("zero_tol", [0.0, 0.05, 0.3])
     def test_symmetric_stack_flags_match(self, zero_tol):
-        # Precision stacks of forest covariances: mostly complete graphs,
-        # but a raised zero_tol leaves forests and cycles among them.
-        for structure in ("star_pattern", "random_tree", "diagonal"):
-            model = generate(GenSpec(k=3, L=30, seed=5, structure=structure))
-            stack = spd_inverse(model.sigma_blocks)
+        # Flags and listed edges, block by block, against edge_list and
+        # union-find. Precision stacks of forest covariances: mostly
+        # complete graphs, but a raised zero_tol leaves forests and cycles
+        # among them. The masked stack adds blocks with fewer than m edges
+        # and a cycle.
+        stacks = [
+            spd_inverse(generate(GenSpec(k=3, L=30, seed=5, structure=s)).sigma_blocks)
+            for s in ("star_pattern", "random_tree", "diagonal")
+        ]
+        stacks.append(masked_dense_model(3, 40, np.random.default_rng(7)).sigma_blocks)
+        for stack in stacks:
             assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
-            assert np.array_equal(
-                _symmetric_block_forests(stack, zero_tol),
-                _block_forests(stack, zero_tol)[0],
-            )
+            forest, (ell, i, j) = _block_forests(stack, zero_tol)
+            assert np.all(np.diff(ell) >= 0)
+            m = stack.shape[1]
+            for b, block in enumerate(stack):
+                edges = [(p, q) for p, q, _ in edge_list(block, zero_tol)]
+                assert forest[b] == is_forest_union_find(m, edges)
+                listed = list(zip(i[ell == b].tolist(), j[ell == b].tolist()))
+                assert listed == (edges if len(edges) < m else [])
 
 
 class TestValidate:

@@ -76,6 +76,17 @@ class TestLoad:
         with pytest.raises(ModelFormatError, match="invalid JSON"):
             load_model(path)
 
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(ModelFormatError, match="utf16.json: not UTF-8 text"):
+            load_model(path)
+
+    def test_null_metadata_is_absent(self):
+        doc = doc_for([{"covariance": LADDER1_BLOCK.tolist()}])
+        doc["metadata"] = None
+        assert model_from_dict(doc)[1] == {}
+
     @pytest.mark.parametrize(
         "mutate,error",
         [
@@ -85,6 +96,11 @@ class TestLoad:
             (lambda d: d.update(L=5), "expected 5 blocks"),
             (lambda d: d.update(blocks="nope"), "blocks must be a list"),
             (lambda d: d.update(metadata=[1]), "metadata"),
+            # Falsy values that are not objects are rejected too.
+            (lambda d: d.update(metadata=[]), "metadata must be an object"),
+            (lambda d: d.update(metadata=0), "metadata must be an object"),
+            (lambda d: d.update(metadata=False), "metadata must be an object"),
+            (lambda d: d.update(metadata=""), "metadata must be an object"),
         ],
     )
     def test_schema_errors(self, mutate, error):
