@@ -25,7 +25,6 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .generate import STRUCTURES, GenSpec, generate
-from .linalg import SpdFactor, spd_factorize, spd_inverse, symmetrize
 from .model import (
     LadderModel,
     SparseSymMatrix,
@@ -50,7 +49,6 @@ __all__ = [
     "NotPositiveDefinite",
     "STRUCTURES",
     "SparseSymMatrix",
-    "SpdFactor",
     "ValidationReport",
     "ZReport",
     "build_dual",
@@ -63,9 +61,6 @@ __all__ = [
     "logdet_sigma_direct",
     "logdet_sigma_via_duality",
     "save_model",
-    "spd_factorize",
-    "spd_inverse",
-    "symmetrize",
     "validate",
     "z_constants",
 ]

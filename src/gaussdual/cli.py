@@ -207,40 +207,21 @@ def cmd_bench(args):
             )
             n = model.N
             for name in methods:
+                logdet = wall = error = ""
                 if name in DENSE_METHODS and n > cap:
-                    writer.writerow(
-                        [
-                            args.k,
-                            L,
-                            n,
-                            name,
-                            "",
-                            "",
-                            seed,
-                            f"skipped: N={n} exceeds dense cap {cap}",
-                        ]
-                    )
-                    continue
-                try:
-                    walls = []
-                    logdet = None
-                    for _ in range(max(1, args.repeats)):
-                        t0 = time.perf_counter()
-                        logdet = _run_method(model, name)
-                        walls.append((time.perf_counter() - t0) * 1e3)
-                    row = [
-                        args.k,
-                        L,
-                        n,
-                        name,
-                        repr(logdet),
-                        f"{statistics.median(walls):.3f}",
-                        seed,
-                        "",
-                    ]
-                except NotPositiveDefinite as exc:
-                    row = [args.k, L, n, name, "", "", seed, str(exc)]
-                writer.writerow(row)
+                    error = f"skipped: N={n} exceeds dense cap {cap}"
+                else:
+                    try:
+                        walls = []
+                        for _ in range(max(1, args.repeats)):
+                            t0 = time.perf_counter()
+                            value = _run_method(model, name)
+                            walls.append((time.perf_counter() - t0) * 1e3)
+                        logdet = repr(value)
+                        wall = f"{statistics.median(walls):.3f}"
+                    except NotPositiveDefinite as exc:
+                        error = str(exc)
+                writer.writerow([args.k, L, n, name, logdet, wall, seed, error])
     finally:
         if fh is not sys.stdout:
             fh.close()

@@ -6,7 +6,9 @@ couplings between the two halves of every block, and fixes the first k
 and last k variables to zero. What remains is an ordinary Gaussian in
 the N - 2k interior variables whose precision matrix this module builds
 explicitly; its log-determinant is the whole point, since it converts a
-chain of coupled determinants into one sparse one.
+chain of coupled determinants into one sparse one. The 2π factors of
+the pinned variables enter only the normalization constants, which
+`engine.z_constants` accounts for.
 """
 
 from dataclasses import dataclass
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SparseSymMatrix, _block_tridiagonal, _sparse_from_blocks
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -33,9 +33,6 @@ class DualModel:
         (the unpinned interior indices k..L·k-1, in natural order).
     pinned : ndarray, shape (2k,)
         Global indices held at zero: the first k and the last k.
-    log_boundary_constant : float
-        log((2π)^{2k}), the scale carried by the 2k boundary factors.
-        Enters partition-function accounting only, never determinants.
     k, L : int
         Dimensions of the source model, kept for serialization.
     """
@@ -44,7 +41,6 @@ class DualModel:
     dual_precision: SparseSymMatrix
     variable_map: np.ndarray
     pinned: np.ndarray
-    log_boundary_constant: float
     k: int
     L: int
 
@@ -71,7 +67,6 @@ def build_dual(model):
         pinned=np.concatenate(
             [np.arange(k, dtype=np.int64), np.arange(hi, N, dtype=np.int64)]
         ),
-        log_boundary_constant=2.0 * k * LOG_2PI,
         k=k,
         L=L,
     )

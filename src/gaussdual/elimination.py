@@ -1,6 +1,7 @@
 """Log-determinants of sparse SPD matrices.
 
-Three backends with one report format. The banded Cholesky of a
+Three backends, each returning a `LogDetReport` of its method name, the
+log-determinant and the dimension. The banded Cholesky of a
 block-tridiagonal matrix (linear in n for fixed block size) is the one
 both engine routes run, on J and on Σ′⁻¹. Leaf-peeling Gaussian
 elimination of a matrix whose graph is a forest (linear time, no fill)
@@ -9,14 +10,13 @@ tested against.
 """
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotAForest, NotPositiveDefinite
-from .linalg import _first_bad_pivot, _logdet, pivot_floor, symmetrize
+from .linalg import _BLOCK, _first_bad_pivot, _logdet, _symmetric_part, pivot_floor
 from .model import SparseSymMatrix, _lower_band
 
 
@@ -39,7 +39,6 @@ class LogDetReport:
     method: str
     logdet: float
     n: int
-    stats: dict = field(default_factory=dict)
 
 
 def tree_elimination_order(g):
@@ -110,7 +109,6 @@ def logdet_tree_bp(m):
         If a pivot falls below the scale-relative positivity floor; the
         exception carries the offending vertex index.
     """
-    t0 = time.perf_counter()
     sched = tree_elimination_order(m)
 
     # Weight of the (v, parent) edge for every non-root v, via one sorted
@@ -144,13 +142,7 @@ def logdet_tree_bp(m):
             w = parw[v]
             work[u] -= w * (w / p)  # w * w overflows at |w| ≳ 1e154
 
-    wall = (time.perf_counter() - t0) * 1e3
-    return LogDetReport(
-        method="tree_bp",
-        logdet=float(logdet),
-        n=m.n,
-        stats={"pivots": m.n, "depth": sched.rounds, "wall_ms": wall},
-    )
+    return LogDetReport("tree_bp", float(logdet), n)
 
 
 def block_partition(m, k):
@@ -197,12 +189,9 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
         If a pivot is at or below `linalg.pivot_floor` (the implied matrix
         is not SPD). ``pivot_index`` is the pivot's global index.
     """
-    t0 = time.perf_counter()
     nb = len(diag_blocks)
     if nb == 0:
-        return LogDetReport(
-            "block_tridiag", 0.0, 0, {"pivots": 0, "depth": 0, "wall_ms": 0.0}
-        )
+        return LogDetReport("block_tridiag", 0.0, 0)
     if len(off_blocks) != nb - 1:
         raise DimensionMismatch(
             f"{nb} diagonal blocks need {nb - 1} off-diagonal blocks, "
@@ -220,14 +209,7 @@ def logdet_block_tridiagonal(diag_blocks, off_blocks):
         raise DimensionMismatch("off-diagonal blocks must all be k×k")
 
     logdet = _banded_logdet(a, c.reshape(nb - 1, k, k))
-
-    wall = (time.perf_counter() - t0) * 1e3
-    return LogDetReport(
-        method="block_tridiag",
-        logdet=logdet,
-        n=nb * k,
-        stats={"pivots": nb * k, "depth": nb, "wall_ms": wall},
-    )
+    return LogDetReport("block_tridiag", logdet, nb * k)
 
 
 def _banded_logdet(diag_blocks, off_blocks, floor=None):
@@ -271,9 +253,11 @@ def logdet_dense(m):
         If a pivot is at or below `linalg.pivot_floor`; ``pivot_index`` is
         its index.
     """
-    t0 = time.perf_counter()
     # A SparseSymMatrix is symmetric by construction: no symmetrized copy.
-    dense = m.to_dense() if isinstance(m, SparseSymMatrix) else symmetrize(m)
+    if isinstance(m, SparseSymMatrix):
+        dense = m.to_dense()
+    else:
+        dense = _symmetric_part(m, _BLOCK)
     n = dense.shape[0]
     floor = pivot_floor(np.diagonal(dense))
     # dense is a fresh C-ordered array, so its transpose, the same matrix,
@@ -284,11 +268,4 @@ def logdet_dense(m):
         raise NotPositiveDefinite(
             f"matrix is not positive definite (pivot {p})", pivot_index=p
         )
-    logdet = float(_logdet(lower))
-    wall = (time.perf_counter() - t0) * 1e3
-    return LogDetReport(
-        method="dense",
-        logdet=logdet,
-        n=n,
-        stats={"pivots": n, "depth": n, "wall_ms": wall},
-    )
+    return LogDetReport("dense", float(_logdet(lower)), n)

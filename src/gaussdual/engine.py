@@ -27,13 +27,16 @@ takes the local log-determinants from it, the direct route J's
 blocks, and only Σ′⁻¹ is raked.
 """
 
+import math
 from dataclasses import dataclass, field
 
-from .dual import LOG_2PI, build_dual
+from .dual import build_dual
 from .elimination import logdet_block_tridiagonal, logdet_dense
 from .linalg import _inverse, _logdet
 from .model import _block_tridiagonal, _covariance_factor, _sparse_from_blocks
 from .rake import raked_logdets
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass

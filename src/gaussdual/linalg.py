@@ -1,15 +1,15 @@
 """Dense symmetric positive-definite kernels.
 
-Symmetrization, Cholesky factorization, log-determinant and inverse of
-one (n, n) matrix or of an (L, n, n) stack of them. Every block the
-package symmetrizes, factors or inverts goes through here, so the pivot
-floor and the symmetry tolerance are decided in exactly one place. A
-stack is factored by one batched Cholesky call; only after a failure is
-it refactored block by block, to name the first bad block and pivot. It
-is inverted through its triangular factors, a whole stack at a time.
+Symmetrization, Cholesky factorization and log-determinant of an
+(L, n, n) stack of matrices or of one (n, n) matrix, and the inverse of
+a stack. Every block the package symmetrizes, factors or inverts goes
+through here, so the pivot floor and the symmetry tolerance are decided
+in exactly one place. A stack is factored by one batched Cholesky call;
+only after a failure is it refactored block by block, to name the first
+bad block and pivot. It is inverted through its triangular factors, a
+whole stack at a time. The kernels are private: the engine routes,
+`validate`, `load_model` and `logdet_dense` call them.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -29,22 +29,17 @@ SYMMETRY_RTOL = 1e-12
 _BLOCK = "block {}".format
 
 
-class SpdFactor(NamedTuple):
-    """Cholesky factor of an SPD matrix, or stack, plus its log-determinant.
-
-    For an (L, n, n) stack, ``lower`` is the stack of factors and
-    ``logdet`` the length-L array of log-determinants.
-    """
-
-    lower: np.ndarray
-    logdet: float | np.ndarray
-
-
 def _name(m, label, ell):
     return "matrix" if m.ndim == 2 else label(ell)
 
 
-def _symmetric_part(m, label, rtol=SYMMETRY_RTOL):
+def _symmetric_part(m, label):
+    """Symmetric part ``(m + mᵀ) / 2`` of a square matrix or stack.
+
+    Raises ValueError if ``m`` is not square, or if a matrix has a
+    non-finite entry or a relative asymmetry over `SYMMETRY_RTOL`,
+    naming the first such block by ``label(ell)``.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(
@@ -60,7 +55,7 @@ def _symmetric_part(m, label, rtol=SYMMETRY_RTOL):
                 f"{_name(m, label, int(bad[0]))} contains non-finite entries"
             )
         asym = np.abs(m - t).max(axis=(-2, -1))
-        bad = np.flatnonzero(asym > rtol * scale)
+        bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
         if bad.size:
             ell = int(bad[0])
             raise ValueError(
@@ -72,33 +67,6 @@ def _symmetric_part(m, label, rtol=SYMMETRY_RTOL):
     # result is allocated first, not above a freed temporary: that hole
     # let glibc trim the heap and refault it on every later route call.
     return 0.5 * m + 0.5 * t
-
-
-def symmetrize(m, rtol=SYMMETRY_RTOL):
-    """Return the symmetric part of ``m``, rejecting real asymmetry.
-
-    Parameters
-    ----------
-    m : array_like, shape (n, n) or (L, n, n)
-        Square matrix, or stack of them, expected to be symmetric up to
-        round-off.
-    rtol : float
-        Largest tolerated relative asymmetry ``|m - m.T| / max(1, |m|)``,
-        per matrix.
-
-    Returns
-    -------
-    ndarray
-        ``(m + m.T) / 2`` as a float array, matrix by matrix.
-
-    Raises
-    ------
-    ValueError
-        If ``m`` is not square, or a matrix has a non-finite entry or an
-        asymmetry over ``rtol``; for a stack, the message names the first
-        such block.
-    """
-    return _symmetric_part(m, _BLOCK, rtol)
 
 
 def pivot_floor(diag):
@@ -208,7 +176,7 @@ def _triangular_inverse(x):
 
 
 def _inverse(lower):
-    """Symmetric inverse of the matrix, or stack, with Cholesky factor ``lower``.
+    """Symmetric inverses of the (L, n, n) stack with Cholesky factors ``lower``.
 
     X = L⁻¹ is formed in ``lower`` by `_triangular_inverse`, then
     Σ⁻¹ = XᵀX overwrites ``lower`` and is returned. At most three
@@ -216,7 +184,7 @@ def _inverse(lower):
     (25000, 8, 8) stack of a k=4 ladder, 12.2 MiB, tracemalloc's peak
     over the whole direct route is 36.6 MiB.
     """
-    x = _triangular_inverse(lower if lower.ndim == 3 else lower[None])
+    x = _triangular_inverse(lower)
     # The product runs from a contiguous copy of Xᵀ, which is faster than
     # a transposed view. Halving is exact barring underflow, so
     # half = XᵀX / 2, and half + halfᵀ = Σ⁻¹ is symmetric bit for bit by
@@ -225,42 +193,4 @@ def _inverse(lower):
     half = np.matmul(xt, x)
     del xt
     np.add(half, np.swapaxes(half, -1, -2), out=x)
-    return lower
-
-
-def spd_factorize(m) -> SpdFactor:
-    """Cholesky-factorize a symmetric matrix and return its log-determinant.
-
-    Parameters
-    ----------
-    m : array_like, shape (n, n) or (L, n, n)
-        Symmetric matrix, or stack of them. ``n = 0`` is allowed and
-        yields ``logdet = 0``.
-
-    Returns
-    -------
-    SpdFactor
-        Lower-triangular factor ``L`` with ``L @ L.T == m`` and
-        ``logdet = 2 * sum(log diag L)``, block by block for a stack.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If any elimination pivot falls at or below the scale-relative
-        floor ``PIVOT_RTOL * max(1, max diagonal entry)``. The exception
-        carries the 0-based index of the first offending pivot; for a
-        stack, its message names the first offending block.
-    """
-    m = symmetrize(m)
-    lower = _cholesky(m, _BLOCK)
-    logdet = _logdet(lower)
-    return SpdFactor(lower, logdet if m.ndim == 3 else float(logdet))
-
-
-def spd_inverse(m) -> np.ndarray:
-    """Invert an SPD matrix, or stack, via its Cholesky factor.
-
-    The result is exactly symmetric, so round-tripping through
-    ``spd_inverse`` twice reproduces the input to working precision.
-    """
-    return _inverse(_cholesky(symmetrize(m), _BLOCK))
+    return x

@@ -143,6 +143,14 @@ def random_spd_dense(n, rng):
     return a @ a.T + n * np.eye(n)
 
 
+def invert(stack):
+    """Inverses of an (L, n, n) SPD stack through the package's kernels,
+    the path `load_model` takes for precision blocks."""
+    from gaussdual.linalg import _BLOCK, _cholesky, _inverse, _symmetric_part
+
+    return _inverse(_cholesky(_symmetric_part(stack, _BLOCK), _BLOCK))
+
+
 class UnionFind:
     """Disjoint sets over 0..n-1 with path halving."""
 
@@ -188,7 +196,7 @@ def validate_reference(model, zero_tol=0.0):
     """`validate` block by block: one edge list and one union-find pass
     per block, then one over the union. Oracle for the stacked component
     counts of `gaussdual.validate`."""
-    from gaussdual import NotPositiveDefinite, ValidationReport, spd_inverse
+    from gaussdual import NotPositiveDefinite, ValidationReport
 
     messages = []
 
@@ -196,7 +204,7 @@ def validate_reference(model, zero_tol=0.0):
     inverses = []
     for ell, b in enumerate(model.sigma_blocks):
         try:
-            inverses.append(spd_inverse(b))
+            inverses.append(invert(b[None])[0])
         except NotPositiveDefinite as exc:
             a1 = False
             inverses = None

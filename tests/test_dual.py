@@ -50,12 +50,6 @@ class TestBuildDual:
         assert dual.pinned.tolist() == [0, 1]
         assert dual.variable_map.size == 0
 
-    def test_boundary_constant(self):
-        dual = build_dual(ladder1_model())
-        assert dual.log_boundary_constant == pytest.approx(
-            4.0 * math.log(2.0 * math.pi), rel=1e-15
-        )
-
     def test_dual_spd_on_random_sweep(self):
         for seed in range(20):
             model = generate(

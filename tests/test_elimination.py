@@ -146,9 +146,6 @@ class TestLogdetTreeBp:
         g = random_forest_spd(30, np.random.default_rng(3))
         report = logdet_tree_bp(g)
         assert report.n == 30
-        assert report.stats["pivots"] == 30
-        assert report.stats["depth"] >= 1
-        assert report.stats["wall_ms"] >= 0.0
 
 
 class TestBlockPartition:

@@ -9,51 +9,56 @@ from gaussdual import (
     NotPositiveDefinite,
     load_model,
     local_logdets,
-    spd_factorize,
-    spd_inverse,
-    symmetrize,
     validate,
 )
-from helpers import LADDER1_BLOCK, det_cofactor, random_spd_dense
+from gaussdual.linalg import _BLOCK, _cholesky, _logdet, _symmetric_part
+from helpers import LADDER1_BLOCK, det_cofactor, invert, random_spd_dense
+
+
+def factorize(m):
+    """Cholesky factor and log-determinant of an SPD matrix, or of each
+    block of a stack, as the routes take them."""
+    lower = _cholesky(_symmetric_part(m, _BLOCK), _BLOCK)
+    return lower, _logdet(lower)
 
 
 def test_symmetrize_passthrough():
     m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert np.array_equal(symmetrize(m), m)
+    assert np.array_equal(_symmetric_part(m, _BLOCK), m)
 
 
 def test_symmetrize_averages_roundoff():
     m = np.array([[2.0, 1.0 + 1e-14], [1.0, 3.0]])
-    out = symmetrize(m)
+    out = _symmetric_part(m, _BLOCK)
     assert out[0, 1] == out[1, 0]
 
 
 def test_symmetrize_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
-        symmetrize([[1.0, 5.0], [0.0, 1.0]])
+        _symmetric_part([[1.0, 5.0], [0.0, 1.0]], _BLOCK)
 
 
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
-        symmetrize(np.zeros((2, 3)))
+        _symmetric_part(np.zeros((2, 3)), _BLOCK)
 
 
 def test_factorize_identity():
-    f = spd_factorize(np.eye(4))
-    assert f.logdet == 0.0
-    assert np.array_equal(f.lower, np.eye(4))
+    lower, logdet = factorize(np.eye(4))
+    assert logdet == 0.0
+    assert np.array_equal(lower, np.eye(4))
 
 
 def test_factorize_known_2x2():
-    f = spd_factorize([[2.0, 1.0], [1.0, 2.0]])
-    assert f.logdet == pytest.approx(math.log(3.0), rel=1e-14)
-    assert np.allclose(f.lower @ f.lower.T, [[2.0, 1.0], [1.0, 2.0]])
+    lower, logdet = factorize([[2.0, 1.0], [1.0, 2.0]])
+    assert logdet == pytest.approx(math.log(3.0), rel=1e-14)
+    assert np.allclose(lower @ lower.T, [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_factorize_empty():
-    f = spd_factorize(np.zeros((0, 0)))
-    assert f.logdet == 0.0
-    assert f.lower.shape == (0, 0)
+    lower, logdet = factorize(np.zeros((0, 0)))
+    assert logdet == 0.0
+    assert lower.shape == (0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -62,18 +67,18 @@ def test_factorize_matches_cofactor_oracle(n):
     for _ in range(20):
         m = random_spd_dense(n, rng)
         expected = math.log(det_cofactor(m))
-        assert spd_factorize(m).logdet == pytest.approx(expected, rel=1e-10)
+        assert factorize(m)[1] == pytest.approx(expected, rel=1e-10)
 
 
 def test_factorize_indefinite_reports_pivot():
     with pytest.raises(NotPositiveDefinite) as exc:
-        spd_factorize([[1.0, 2.0], [2.0, 1.0]])
+        factorize([[1.0, 2.0], [2.0, 1.0]])
     assert exc.value.pivot_index == 1
 
 
 def test_factorize_negative_first_pivot():
     with pytest.raises(NotPositiveDefinite) as exc:
-        spd_factorize([[-1.0, 0.0], [0.0, 2.0]])
+        factorize([[-1.0, 0.0], [0.0, 2.0]])
     assert exc.value.pivot_index == 0
 
 
@@ -81,7 +86,7 @@ def test_factorize_near_singular_hits_floor():
     # Second pivot is ~1e-16 relative to a unit-scale diagonal.
     m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
     with pytest.raises(NotPositiveDefinite):
-        spd_factorize(m)
+        factorize(m)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -90,21 +95,21 @@ def test_factorize_rejects_non_finite(value):
     blocks = np.array([LADDER1_BLOCK] * 3)
     blocks[1, 0, 0] = value
     with pytest.raises(ValueError, match="^block 1 contains non-finite"):
-        spd_factorize(blocks)
+        factorize(blocks)
     with pytest.raises(ValueError, match="^matrix contains non-finite"):
-        spd_factorize(blocks[1])
+        factorize(blocks[1])
 
 
 def test_factorize_small_scale_accepted():
     # Tiny but well-conditioned matrices must not be rejected.
-    f = spd_factorize(1e-8 * np.eye(3))
-    assert f.logdet == pytest.approx(3 * math.log(1e-8), rel=1e-12)
+    logdet = factorize(1e-8 * np.eye(3))[1]
+    assert logdet == pytest.approx(3 * math.log(1e-8), rel=1e-12)
 
 
 def test_inverse_round_trip():
     rng = np.random.default_rng(7)
     m = random_spd_dense(6, rng)
-    inv = spd_inverse(m)
+    inv = invert(m[None])[0]
     assert np.allclose(inv @ m, np.eye(6), atol=1e-10)
     assert np.array_equal(inv, inv.T)
 
@@ -112,7 +117,7 @@ def test_inverse_round_trip():
 def test_inverse_involution():
     rng = np.random.default_rng(8)
     m = random_spd_dense(5, rng)
-    again = spd_inverse(spd_inverse(m))
+    again = invert(invert(m[None]))[0]
     assert np.allclose(again, m, rtol=1e-10)
 
 
@@ -125,8 +130,8 @@ def test_inverse_accuracy_ill_conditioned(n, cond):
     rng = np.random.default_rng(n)
     q, _ = np.linalg.qr(rng.standard_normal((5, n, n)))
     m = (q * np.logspace(0, -math.log10(cond), n)) @ np.swapaxes(q, 1, 2)
-    expected = np.linalg.inv(symmetrize(m))
-    got = spd_inverse(m)
+    expected = np.linalg.inv(_symmetric_part(m, _BLOCK))
+    got = invert(m)
     err = np.linalg.norm(got - expected, axis=(1, 2))
     bound = n * cond * np.finfo(float).eps * np.linalg.norm(expected, axis=(1, 2))
     assert (err <= bound).all()
@@ -141,27 +146,27 @@ class TestStacks:
     def test_stack_equals_per_matrix(self, k):
         rng = np.random.default_rng(k)
         stack = np.array([random_spd_dense(2 * k, rng) for _ in range(20)])
-        factor = spd_factorize(stack)
-        inverse = spd_inverse(stack)
+        lower, logdet = factorize(stack)
+        inverse = invert(stack)
         for ell, m in enumerate(stack):
-            one = spd_factorize(m)
-            assert np.array_equal(factor.lower[ell], one.lower)
-            assert factor.logdet[ell] == one.logdet
-            assert np.array_equal(inverse[ell], spd_inverse(m))
+            one_lower, one_logdet = factorize(m)
+            assert np.array_equal(lower[ell], one_lower)
+            assert logdet[ell] == one_logdet
+            assert np.array_equal(inverse[ell], invert(m[None])[0])
 
     def test_symmetrize_stack(self):
         stack = np.array([np.eye(3), [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0, 0, 1]]])
-        assert np.array_equal(symmetrize(stack), stack)
+        assert np.array_equal(_symmetric_part(stack, _BLOCK), stack)
         stack[1, 0, 1] = 5.0
         with pytest.raises(ValueError, match="block 1 is not symmetric"):
-            symmetrize(stack)
+            _symmetric_part(stack, _BLOCK)
 
     def test_empty_stack(self):
-        f = spd_factorize(np.zeros((2, 0, 0)))
-        assert f.lower.shape == (2, 0, 0)
-        assert f.logdet.tolist() == [0.0, 0.0]
-        for shape in [(2, 0, 0), (0, 0), (0, 3, 3)]:
-            assert spd_inverse(np.zeros(shape)).shape == shape
+        lower, logdet = factorize(np.zeros((2, 0, 0)))
+        assert lower.shape == (2, 0, 0)
+        assert logdet.tolist() == [0.0, 0.0]
+        for shape in [(2, 0, 0), (1, 0, 0), (0, 3, 3)]:
+            assert invert(np.zeros(shape)).shape == shape
 
 
 def _indefinite(b):
@@ -185,7 +190,7 @@ def _blocks_bad_at_3(spoil):
 class TestBadBlockIsNamed:
     def test_spd_factorize(self, spoil):
         with pytest.raises(NotPositiveDefinite, match="^block 3 ") as exc:
-            spd_factorize(_blocks_bad_at_3(spoil))
+            _cholesky(_blocks_bad_at_3(spoil), _BLOCK)
         assert exc.value.pivot_index == 1
 
     def test_local_logdets(self, spoil):

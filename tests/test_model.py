@@ -11,7 +11,6 @@ from gaussdual import (
     SparseSymMatrix,
     generate,
     local_logdets,
-    spd_inverse,
     validate,
 )
 from gaussdual.model import _block_forests, assemble_global_precision
@@ -19,6 +18,7 @@ from helpers import (
     LADDER1_BLOCK,
     LADDER2_S1,
     edge_list,
+    invert,
     is_forest_union_find,
     ladder1_model,
     ladder2_model,
@@ -146,7 +146,7 @@ class TestSparsityGraph:
         assert block_edges(np.eye(4)) == []
 
     def test_dense_precision_is_complete(self):
-        precision = spd_inverse(LADDER1_BLOCK)
+        precision = invert(LADDER1_BLOCK[None])[0]
         assert not block_is_forest(precision)
         assert len(edge_list(precision)) == 6
 
@@ -212,7 +212,7 @@ class TestBlockForests:
         # among them. The masked stack adds blocks with fewer than m edges
         # and a cycle.
         stacks = [
-            spd_inverse(generate(GenSpec(k=3, L=30, seed=5, structure=s)).sigma_blocks)
+            invert(generate(GenSpec(k=3, L=30, seed=5, structure=s)).sigma_blocks)
             for s in ("star_pattern", "random_tree", "diagonal")
         ]
         stacks.append(masked_dense_model(3, 40, np.random.default_rng(7)).sigma_blocks)

@@ -1,7 +1,6 @@
 import gc
 import io
 import json
-import math
 import os
 import tracemalloc
 import warnings
@@ -19,7 +18,6 @@ from gaussdual import (
     load_model,
     logdet_sigma_via_duality,
     save_model,
-    spd_inverse,
 )
 from gaussdual.modelio import dual_to_dict, model_from_dict, write_model
 from gaussdual.rake import _chunks
@@ -27,6 +25,7 @@ from helpers import (
     EXAMPLES_DIR,
     LADDER1_BLOCK,
     edge_list,
+    invert,
     ladder1_model,
     write_model_reference,
 )
@@ -52,14 +51,14 @@ class TestLoad:
         assert (m2.k, m2.L) == (3, 2)
 
     def test_precision_input_inverted_at_load(self):
-        prec = spd_inverse(LADDER1_BLOCK)
+        prec = invert(LADDER1_BLOCK[None])[0]
         doc = doc_for([{"precision": prec.tolist()}], k=2)
         model, _ = model_from_dict(doc)
         assert np.allclose(model.sigma_blocks[0], LADDER1_BLOCK, atol=1e-12)
 
     def test_precision_and_covariance_logdets_agree(self):
         cov_doc = doc_for([{"covariance": LADDER1_BLOCK.tolist()}] * 3)
-        prec = spd_inverse(LADDER1_BLOCK)
+        prec = invert(LADDER1_BLOCK[None])[0]
         prec_doc = doc_for([{"precision": prec.tolist()}] * 3)
         a = logdet_sigma_via_duality(model_from_dict(cov_doc)[0])
         # Inverting at load fills structural zeros with round-off, so
@@ -182,9 +181,9 @@ class TestLoadErrorsNameTheBlock:
         entries, expected = [], []
         for ell, b in enumerate(model.sigma_blocks):
             if ell % 2:
-                prec = spd_inverse(b)
+                prec = invert(b[None])[0]
                 entries.append({"precision": prec.tolist()})
-                expected.append(spd_inverse(prec))
+                expected.append(invert(prec[None])[0])
             else:
                 entries.append({"covariance": b.tolist()})
                 expected.append(b)
@@ -268,6 +267,18 @@ class TestBooleanEntries:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="format_version"):
+            load_model(path)
+
+    def test_false_with_escaped_format_version_is_rejected(self, tmp_path):
+        # The key holds no "f", so the file's first "f" is in its "false".
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"\\u0066ormat_version": "1", "k": 1, "L": 1, "blocks": '
+            '[{"covariance": [[2.0, false], [0, 2.0]]}]}'
+        )
+        with pytest.raises(
+            ModelFormatError, match="block 0 covariance is not a numeric matrix"
+        ):
             load_model(path)
 
     def test_all_boolean_matrix_is_rejected(self):
@@ -458,10 +469,3 @@ class TestCollectorPause:
             load_model(path)
         assert gc.isenabled() is enabled
 
-
-def test_log_constant_preserved():
-    model = generate(GenSpec(k=3, L=4, seed=2))
-    dual = build_dual(model)
-    assert dual.log_boundary_constant == pytest.approx(
-        6.0 * math.log(2.0 * math.pi), rel=1e-15
-    )

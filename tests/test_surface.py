@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import gaussdual
 
 PUBLIC = [
@@ -13,7 +16,6 @@ PUBLIC = [
     "NotPositiveDefinite",
     "STRUCTURES",
     "SparseSymMatrix",
-    "SpdFactor",
     "ValidationReport",
     "ZReport",
     "build_dual",
@@ -26,9 +28,6 @@ PUBLIC = [
     "logdet_sigma_direct",
     "logdet_sigma_via_duality",
     "save_model",
-    "spd_factorize",
-    "spd_inverse",
-    "symmetrize",
     "validate",
     "z_constants",
 ]
@@ -41,3 +40,78 @@ def test_public_names_are_pinned_and_import():
     namespace = {}
     exec("from gaussdual import *", namespace)
     assert PUBLIC == sorted(n for n in namespace if not n.startswith("__"))
+
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "gaussdual"
+
+
+def _modules():
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(SRC.glob("*.py"))
+    }
+    assert trees, f"no modules under {SRC}"
+    return trees
+
+
+def _imported(tree):
+    """Names bound by the module's imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _references(nodes, imports=True):
+    """Names read and attributes taken, plus with ``imports`` the names
+    imported from other modules."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif imports and isinstance(sub, ast.ImportFrom):
+                names.update(a.name for a in sub.names)
+    return names
+
+
+def _defined(stmt):
+    """Top-level names a module statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    if isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_import_is_used():
+    # __init__ imports to re-export.
+    unused = [
+        f"{name}: {imp}"
+        for name, tree in _modules().items()
+        if name != "__init__.py"
+        for imp in sorted(_imported(tree) - _references(tree.body, imports=False))
+    ]
+    assert unused == []
+
+
+def test_every_private_top_level_name_is_used():
+    # A private helper that only tests call is dead code; so is one that
+    # only its own body calls.
+    modules = _modules()
+    refs = {name: [_references([s]) for s in t.body] for name, t in modules.items()}
+    dead = []
+    for name, tree in modules.items():
+        others = [r for m, rs in refs.items() if m != name for r in rs]
+        for i, stmt in enumerate(tree.body):
+            own = [r for j, r in enumerate(refs[name]) if j != i]
+            for private in _defined(stmt) - set().union(*others, *own):
+                if private.startswith("_") and not private.startswith("__"):
+                    dead.append(f"{name}: {private}")
+    assert dead == []
