@@ -24,7 +24,7 @@ class GenSpec:
     """Recipe for one random model.
 
     weight_range bounds the magnitude of off-diagonal weights; signs are
-    random. Must not straddle or touch zero.
+    random. Must be finite and must not straddle or touch zero.
     """
 
     k: int
@@ -44,9 +44,9 @@ def _check(spec):
             f"unknown structure {spec.structure!r}; choose from {STRUCTURES}"
         )
     lo, hi = spec.weight_range
-    if not 0.0 < lo <= hi:
+    if not 0.0 < lo <= hi < np.inf:
         raise InfeasibleStructure(
-            f"weight_range must satisfy 0 < lo <= hi, got {spec.weight_range}"
+            f"weight_range must satisfy 0 < lo <= hi < inf, got {spec.weight_range}"
         )
 
 

@@ -1,7 +1,7 @@
 """Dense symmetric positive-definite kernels.
 
-Symmetrization, Cholesky factorization and log-determinant of an
-(L, n, n) stack of matrices or of one (n, n) matrix, and the inverse of
+Symmetrization of an (L, n, n) stack of matrices or of one (n, n)
+matrix, and the Cholesky factorization, log-determinant and inverse of
 a stack. Every block the package symmetrizes, factors or inverts goes
 through here, so the pivot floor and the symmetry tolerance are decided
 in exactly one place. A stack is factored by one batched Cholesky call;
@@ -25,7 +25,7 @@ PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-12
 
 # How errors name block ell of a stack; callers pass their own, such as
-# "covariance block {}".format. A single matrix is called "matrix".
+# "covariance block {}".format; `_name` calls a single matrix "matrix".
 _BLOCK = "block {}".format
 
 
@@ -91,22 +91,21 @@ def _first_bad_pivot(diag, floor, info=0, squared=True):
 
 
 def _cholesky(m, label, floor=None):
-    """Lower Cholesky factor of a symmetric (n, n) matrix or (L, n, n) stack.
+    """Lower Cholesky factors of a symmetric (L, n, n) stack.
 
     Raises NotPositiveDefinite at the first pivot, of the first block,
     at or below ``floor``, naming the block by ``label(ell)``. The floor,
     one per block, defaults to `pivot_floor` of the block's diagonal.
     """
-    n = m.shape[-1]
     if floor is None:
         floor = pivot_floor(np.diagonal(m, axis1=-2, axis2=-1))
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         # Some block has a non-positive pivot: find it block by block.
-        for ell, b in enumerate(m.reshape(-1, n, n)):
+        for ell, b in enumerate(m):
             c, info = lapack.dpotrf(b, lower=1)
-            p = _first_bad_pivot(np.diagonal(c), floor.flat[ell], info)
+            p = _first_bad_pivot(np.diagonal(c), floor[ell], info)
             if p is not None:
                 break
         else:  # LAPACK builds that disagree at round-off
@@ -116,9 +115,9 @@ def _cholesky(m, label, floor=None):
         i = _first_bad_pivot(lower_diag, floor[..., None])
         if i is None:
             return lower
-        ell, p = divmod(i, n)
+        ell, p = divmod(i, m.shape[-1])
     raise NotPositiveDefinite(
-        f"{_name(m, label, ell)} is not positive definite (pivot {p})",
+        f"{label(ell)} is not positive definite (pivot {p})",
         pivot_index=p,
     )
 

@@ -293,9 +293,13 @@ class TestGenCommand:
             assert main(args) == 0
             assert capsys.readouterr().out.encode() == out.read_bytes()
 
-    def test_gen_bad_weight_range(self, capsys):
-        args = ["gen", "--k", "2", "--l", "3", "--weight-range", "0", "1"]
+    @pytest.mark.parametrize("lo,hi", [("0", "1"), ("0.2", "inf"), ("inf", "inf")])
+    def test_gen_bad_weight_range(self, capsys, lo, hi):
+        args = ["gen", "--k", "2", "--l", "3", "--weight-range", lo, hi]
         assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: weight_range")
+        assert "Traceback" not in err
 
 
 class TestBenchCommand:

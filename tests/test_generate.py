@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,8 @@ def test_generated_models_always_validate(k, L, seed, structure):
         GenSpec(k=2, L=3, seed=0, weight_range=(0.0, 1.0)),
         GenSpec(k=2, L=3, seed=0, weight_range=(-0.5, 1.0)),
         GenSpec(k=2, L=3, seed=0, weight_range=(2.0, 1.0)),
+        GenSpec(k=2, L=3, seed=0, weight_range=(0.2, math.inf)),
+        GenSpec(k=2, L=3, seed=0, weight_range=(math.inf, math.inf)),
     ],
 )
 def test_infeasible_specs(spec):

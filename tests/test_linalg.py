@@ -17,8 +17,11 @@ from helpers import LADDER1_BLOCK, det_cofactor, invert, random_spd_dense
 
 def factorize(m):
     """Cholesky factor and log-determinant of an SPD matrix, or of each
-    block of a stack, as the routes take them."""
-    lower = _cholesky(_symmetric_part(m, _BLOCK), _BLOCK)
+    block of a stack, as the routes take them. A matrix is factored as
+    a stack of one."""
+    sym = _symmetric_part(m, _BLOCK)
+    lower = _cholesky(sym[None] if sym.ndim == 2 else sym, _BLOCK)
+    lower = lower.reshape(sym.shape)
     return lower, _logdet(lower)
 
 

@@ -52,6 +52,20 @@ def union_cycle_model():
     return LadderModel(2, 2, [b1, b2])
 
 
+def overlap_cycle_model(hidden=0.0):
+    """Block 0 is the path 2–0–1–3 and block 1 holds one edge, on the
+    shared pair: global (2, 3). The union has the 4-cycle 0–1–3–2, closed
+    through an overlap entry that only block 1 holds; ``hidden`` puts it
+    in block 0 too, with that weight."""
+    b1 = np.eye(4) * 3.0
+    for i, j in [(0, 1), (0, 2), (1, 3)]:
+        b1[i, j] = b1[j, i] = 1.0
+    b1[2, 3] = b1[3, 2] = hidden
+    b2 = np.eye(4) * 3.0
+    b2[0, 1] = b2[1, 0] = 1.0
+    return LadderModel(2, 2, [b1, b2])
+
+
 class TestLadderModel:
     def test_dimensions(self):
         m = ladder1_model()
@@ -128,14 +142,12 @@ class TestSparseSymMatrix:
 
 
 def block_edges(m, zero_tol=0.0):
-    """Edge pairs of one matrix's sparsity graph, as `validate` lists them:
-    all of them if there are fewer than the matrix has rows, else none."""
-    _, (_, i, j) = _block_forests(np.asarray(m)[None], zero_tol)
-    return list(zip(i.tolist(), j.tolist()))
+    """Edge pairs of one matrix's sparsity graph, row-major."""
+    return [(i, j) for i, j, _ in edge_list(m, zero_tol)]
 
 
-def block_is_forest(m):
-    return bool(_block_forests(np.asarray(m)[None], 0.0)[0][0])
+def block_is_forest(m, zero_tol=0.0):
+    return bool(_block_forests(np.abs(m)[None] > zero_tol)[0])
 
 
 class TestSparsityGraph:
@@ -154,6 +166,9 @@ class TestSparsityGraph:
         m = np.array([[1.0, 1e-12], [1e-12, 1.0]])
         assert len(block_edges(m, 0.0)) == 1
         assert block_edges(m, 1e-9) == []
+        triangle = np.eye(3) + 1e-12 * (np.ones((3, 3)) - np.eye(3))
+        assert not block_is_forest(triangle)
+        assert block_is_forest(triangle, 1e-9)
 
 
 class TestIsForest:
@@ -193,24 +208,17 @@ class TestBlockForests:
         for b, edges in sparse.items():
             for i, j in edges:
                 stack[b, i, j] = stack[b, j, i] = 1.0
-        forest, (ell, i, j) = _block_forests(stack, 0.0)
+        forest = _block_forests(stack != 0)
         assert forest.tolist() == [False, True, False, False, True]
-        # The dense blocks 0 and 3 have 4 or more edges: none is listed.
-        assert ell.tolist() == [1] * 3 + [2] * 3 + [4] * 2
-        edges = list(zip(ell.tolist(), i.tolist(), j.tolist()))
         for b, expected in sparse.items():
-            own = [(p, q) for e, p, q in edges if e == b]
-            assert own == [(p, q) for p, q, _ in edge_list(stack[b])]
-            assert sorted(own) == sorted(expected)
-            assert forest[b] == is_forest_union_find(4, own)
+            assert forest[b] == is_forest_union_find(4, expected)
 
     @pytest.mark.parametrize("zero_tol", [0.0, 0.05, 0.3])
     def test_symmetric_stack_flags_match(self, zero_tol):
-        # Flags and listed edges, block by block, against edge_list and
-        # union-find. Precision stacks of forest covariances: mostly
-        # complete graphs, but a raised zero_tol leaves forests and cycles
-        # among them. The masked stack adds blocks with fewer than m edges
-        # and a cycle.
+        # Flags, block by block, against edge_list and union-find.
+        # Precision stacks of forest covariances: mostly complete graphs,
+        # but a raised zero_tol leaves forests and cycles among them. The
+        # masked stack adds blocks with fewer than m edges and a cycle.
         stacks = [
             invert(generate(GenSpec(k=3, L=30, seed=5, structure=s)).sigma_blocks)
             for s in ("star_pattern", "random_tree", "diagonal")
@@ -218,14 +226,11 @@ class TestBlockForests:
         stacks.append(masked_dense_model(3, 40, np.random.default_rng(7)).sigma_blocks)
         for stack in stacks:
             assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
-            forest, (ell, i, j) = _block_forests(stack, zero_tol)
-            assert np.all(np.diff(ell) >= 0)
+            forest = _block_forests(np.abs(stack) > zero_tol)
             m = stack.shape[1]
             for b, block in enumerate(stack):
-                edges = [(p, q) for p, q, _ in edge_list(block, zero_tol)]
+                edges = edge_list(block, zero_tol)
                 assert forest[b] == is_forest_union_find(m, edges)
-                listed = list(zip(i[ell == b].tolist(), j[ell == b].tolist()))
-                assert listed == (edges if len(edges) < m else [])
 
 
 class TestValidate:
@@ -263,9 +268,16 @@ class TestValidate:
         assert not report.ok
 
     def test_union_cycle_without_block_cycles(self):
-        report = validate(union_cycle_model())
-        assert report.assumption3_blocks_acyclic
-        assert not report.assumption3_union_acyclic
+        # The last two close their cycle through an overlap entry that
+        # only block 1 holds above zero_tol.
+        for model, zero_tol in [
+            (union_cycle_model(), 0.0),
+            (overlap_cycle_model(), 0.0),
+            (overlap_cycle_model(hidden=0.1), 0.3),
+        ]:
+            report = validate(model, zero_tol)
+            assert report.assumption3_blocks_acyclic
+            assert not report.assumption3_union_acyclic
 
     def test_shared_edge_does_not_count_twice(self):
         # Both blocks place an edge inside the overlap; structurally it
@@ -293,6 +305,8 @@ class TestValidate:
         models += [masked_dense_model(1 + t % 4, 1 + t % 5, rng) for t in range(30)]
         models += [
             union_cycle_model(),
+            overlap_cycle_model(),
+            overlap_cycle_model(hidden=0.1),
             LadderModel(2, 3, [LADDER1_BLOCK, indefinite, 4 * np.eye(4) + 1]),
             LadderModel(2, 1, [LADDER1_BLOCK]),
         ]

@@ -115,3 +115,27 @@ def test_every_private_top_level_name_is_used():
                 if private.startswith("_") and not private.startswith("__"):
                     dead.append(f"{name}: {private}")
     assert dead == []
+
+
+def test_every_parameter_is_read():
+    # A parameter that a function's body never reads, nested functions
+    # included, is a knob nothing turns.
+    unread = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)
+            }
+            unread.extend(
+                f"{name}: {node.name}({p.arg})"
+                for p in params
+                if p is not None and p.arg not in read
+            )
+    assert unread == []
