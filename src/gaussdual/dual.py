@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SparseSymMatrix, _block_tridiagonal, _sparse_from_blocks
+from .model import SparseSymMatrix, _sparse_from_blocks
 
 
 @dataclass
@@ -45,19 +45,34 @@ class DualModel:
     L: int
 
 
+def _dual_blocks(stack, k):
+    """Σ′⁻¹'s k×k blocks, sliced from the (L, 2k, 2k) covariance stack.
+
+    Σ′⁻¹ is the interior of the stack's overlap-add at stride k: its
+    first and last block rows are pinned. Returns the L−1 diagonal
+    blocks, the bottom-right corner of block ℓ plus the top-left corner
+    of block ℓ+1, and, as a view, the L−2 couplings, the top-right
+    corners of blocks 1 … L−2.
+
+    The couplings are not negated. The dual negates them, but with
+    D = diag(I, −I, I, …), M(−C) = D·M(C)·D: a congruence that leaves
+    the determinant unchanged, and both Cholesky kernels give such a
+    pair the same pivots bit for bit, since only the signs of the
+    off-diagonal factor entries differ. So the engine eliminates them as
+    they are, and only `build_dual` makes the negation.
+    """
+    return stack[:-1, k:, k:] + stack[1:, :k, :k], stack[1:-1, :k, k:]
+
+
 def build_dual(model):
     """Construct the dual Gaussian of a ladder model.
 
-    The dual precision is the overlap-add of the covariance blocks
-    (covariance in place of precision, same embedding as the primal
-    assembly) with every coupling block negated, restricted to the
-    interior variables by deleting the pinned rows and columns: the
-    first and last block row. The negation is the congruence D·Σ_ℓ·D,
-    D = diag(-1×k, +1×k), so it leaves every determinant unchanged.
+    The dual precision holds `_dual_blocks` of the covariance stack,
+    couplings negated.
     """
     k, L, N = model.k, model.L, model.N
-    diag_blocks, off_blocks = _block_tridiagonal(model.sigma_blocks, k)
-    dual_precision = _sparse_from_blocks(diag_blocks[1:-1], -off_blocks[1:-1])
+    diag_blocks, off_blocks = _dual_blocks(model.sigma_blocks, k)
+    dual_precision = _sparse_from_blocks(diag_blocks, -off_blocks)
 
     lo, hi = k, L * k
     return DualModel(

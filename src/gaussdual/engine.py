@@ -30,7 +30,7 @@ blocks, and only Σ′⁻¹ is raked.
 import math
 from dataclasses import dataclass, field
 
-from .dual import build_dual
+from .dual import _dual_blocks, build_dual
 from .elimination import logdet_block_tridiagonal, logdet_dense
 from .linalg import _inverse, _logdet
 from .model import _block_tridiagonal, _covariance_factor, _sparse_from_blocks
@@ -96,13 +96,13 @@ def _logdet_direct(lower, k, method):
 def _pass(model, dual_method, direct_method=None):
     """Both routes over one factorization of the covariance stack.
 
-    Returns the length-L local log-dets, log det(Σ′⁻¹) and, if
-    ``direct_method`` is given, log det(Σ) by the direct route. On
-    "block_tridiag", `raked_logdets` first rakes the leaves of the
-    stack's shared zero pattern; the local log-dets are raked only when
-    no direct route needs the factor. The rake never raises, and the
-    stack is factored before the band, so a bad covariance block is
-    named before Σ′⁻¹ is judged.
+    Returns the length-L local log-dets, log det(Σ′⁻¹), log det(Σ) by
+    the duality identity and log det(Σ) by the direct route, None unless
+    ``direct_method`` is given. On "block_tridiag", `raked_logdets`
+    first rakes the leaves of the stack's shared zero pattern; the local
+    log-dets are raked only when no direct route needs the factor. The
+    rake never raises, and the stack is factored before the band, so a
+    bad covariance block is named before Σ′⁻¹ is judged.
     """
     _check_method(dual_method)
     if direct_method is not None:
@@ -118,15 +118,8 @@ def _pass(model, dual_method, direct_method=None):
             ld_direct = _logdet_direct(lower, k, direct_method)
         del lower  # freed before the dual's band is built
     if ld_prime_inv is None:
-        # Σ′⁻¹ is the overlap-add of the blocks at stride k, couplings
-        # negated, without the first and last block row. The negation is
-        # not made: with D = diag(I, −I, I, …), M(−C) = D·M(C)·D, and
-        # both Cholesky kernels give such a pair the same pivots bit for
-        # bit, since only the signs of the off-diagonal factor entries
-        # differ.
-        diag_blocks, off_blocks = _block_tridiagonal(stack, k)
-        ld_prime_inv = _eliminate(diag_blocks[1:-1], off_blocks[1:-1], dual_method)
-    return locals_, ld_prime_inv, ld_direct
+        ld_prime_inv = _eliminate(*_dual_blocks(stack, k), dual_method)
+    return locals_, ld_prime_inv, float(locals_.sum() - ld_prime_inv), ld_direct
 
 
 def _z_report(model, locals_, ld_prime_inv, logdet_sigma):
@@ -157,8 +150,7 @@ def logdet_sigma_via_duality(model, method="block_tridiag"):
         sliced from the covariance stack: banded Cholesky (any sparsity
         graph, forest or not), or dense Cholesky of the same matrix.
     """
-    locals_, ld_prime_inv, _ = _pass(model, method)
-    return float(locals_.sum() - ld_prime_inv)
+    return _pass(model, method)[2]
 
 
 def logdet_sigma_direct(model, method="block_tridiag"):
@@ -179,9 +171,7 @@ def z_constants(model):
     here checks bookkeeping, not cross-path agreement (that is
     `duality_check`'s job).
     """
-    locals_, ld_prime_inv, _ = _pass(model, "block_tridiag")
-    logdet_sigma = float(locals_.sum() - ld_prime_inv)
-    return _z_report(model, locals_, ld_prime_inv, logdet_sigma)
+    return _z_report(model, *_pass(model, "block_tridiag")[:3])
 
 
 def _dual_digest(dual):
@@ -207,10 +197,9 @@ def duality_check(model, tol=1e-9, direct_method="block_tridiag"):
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    locals_, ld_prime_inv, ld_sigma_direct = _pass(
+    locals_, ld_prime_inv, ld_sigma_dual, ld_sigma_direct = _pass(
         model, "block_tridiag", direct_method
     )
-    ld_sigma_dual = float(locals_.sum() - ld_prime_inv)
     z = _z_report(model, locals_, ld_prime_inv, ld_sigma_direct)
 
     residual = z.duality_residual

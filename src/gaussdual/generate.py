@@ -96,7 +96,7 @@ def generate(spec):
 
     Diagonals are set to the absolute incident weight sum plus a draw
     from [0.5, 1.5], making every block strictly diagonally dominant and
-    hence SPD.
+    hence SPD. A sum that overflows raises InfeasibleStructure.
     """
     _check(spec)
     k, L = spec.k, spec.L
@@ -126,7 +126,14 @@ def generate(spec):
         blocks[li, ei, ej] = w
         blocks[li, ej, ei] = w
 
-    abssum = np.abs(blocks).sum(axis=2)
+    # Weights near the float maximum can sum past it; such a diagonal is
+    # rejected below.
+    with np.errstate(over="ignore"):
+        diag = np.abs(blocks).sum(axis=2) + rng.uniform(0.5, 1.5, size=(L, 2 * k))
+    if not np.isfinite(diag).all():
+        raise InfeasibleStructure(
+            f"weight_range {spec.weight_range} overflows a diagonal entry"
+        )
     d = np.arange(2 * k)
-    blocks[:, d, d] = abssum + rng.uniform(0.5, 1.5, size=(L, 2 * k))
+    blocks[:, d, d] = diag
     return LadderModel(k, L, blocks)

@@ -1,14 +1,20 @@
-"""Dense symmetric positive-definite kernels.
+"""Dense symmetric positive-definite kernels, and the shared tolerances.
 
-Symmetrization of an (L, n, n) stack of matrices or of one (n, n)
-matrix, and the Cholesky factorization, log-determinant and inverse of
-a stack. Every block the package symmetrizes, factors or inverts goes
-through here, so the pivot floor and the symmetry tolerance are decided
-in exactly one place. A stack is factored by one batched Cholesky call;
-only after a failure is it refactored block by block, to name the first
-bad block and pivot. It is inverted through its triangular factors, a
-whole stack at a time. The kernels are private: the engine routes,
-`validate`, `load_model` and `logdet_dense` call them.
+The package's two tolerances are decided here. `pivot_floor` is the
+level at or below which a pivot counts as non-positive, and
+`_first_bad_pivot` finds the first pivot of a factor that is under it;
+`SYMMETRY_RTOL` is the relative asymmetry past which a matrix is
+rejected instead of symmetrized. The banded and dense factorizations
+(``dpbtrf``, ``dpttrf``, ``dpotrf``) run in `elimination`, and raked
+pivots are judged in `rake`, against the same floor.
+
+The kernels are the symmetrization of an (L, n, n) stack of matrices or
+of one (n, n) matrix, and the Cholesky factorization, log-determinant
+and inverse of a stack. A stack is factored by one batched Cholesky
+call; only after a failure is it refactored block by block, to name the
+first bad block and pivot. It is inverted through its triangular
+factors, a whole stack at a time. The kernels are private: the engine
+routes, `validate`, `load_model` and `logdet_dense` call them.
 """
 
 import numpy as np

@@ -58,29 +58,30 @@ def _require(cond, msg):
         raise ModelFormatError(msg)
 
 
-def _holds_bool(rows):
-    """Whether any of the parsed JSON arrays ``rows`` holds a boolean."""
-    return bool in map(type, chain.from_iterable(rows))
+def _as_array(data, shape, what, may_hold_bool=True):
+    """The parsed JSON arrays ``data`` as a float array of ``shape``.
 
-
-def _as_matrix(data, dim, what):
+    Checks, in this order, that they are numeric, have ``shape``, hold
+    no boolean (searched for only if ``may_hold_bool``) and are finite.
+    The first check that fails raises, naming ``what``.
+    """
     try:
         m = np.asarray(data)
     except ValueError:  # ragged nesting
         m = np.asarray(None)
     # Only JSON numbers make an int or float array: strings, nulls and
     # objects make other dtypes, and so do booleans alone. Booleans among
-    # numbers become 1 and 0, so the rows are searched for them too.
+    # numbers become 1 and 0, so the entries are searched for them too.
     _require(m.dtype.kind in "iuf", f"{what} is not a numeric matrix")
-    m = m.astype(float)
-    if m.shape != (dim, dim):
-        raise DimensionMismatch(
-            f"{what} has shape {m.shape}, expected ({dim}, {dim})"
-        )
-    _require(not _holds_bool(data), f"{what} is not a numeric matrix")
-    if not np.all(np.isfinite(m)):
-        raise ModelFormatError(f"{what} contains non-finite entries")
-    return m
+    if m.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {m.shape}, expected {shape}")
+    if may_hold_bool:
+        entries = data
+        for _ in shape[1:]:
+            entries = chain.from_iterable(entries)
+        _require(bool not in map(type, entries), f"{what} is not a numeric matrix")
+    _require(np.isfinite(m).all(), f"{what} contains non-finite entries")
+    return m.astype(float, copy=False)
 
 
 def model_from_dict(doc, may_hold_bool=True):
@@ -114,29 +115,20 @@ def model_from_dict(doc, may_hold_bool=True):
             f"block {ell} must have exactly one of 'covariance'/'precision'",
         )
         kind = "covariance" if has_cov else "precision"
+        if len(entry) > 1:
+            unknown = sorted(set(entry) - {kind})
+            raise ModelFormatError(f"block {ell} has unknown keys {unknown}")
         kinds.append(kind)
         matrices.append(entry[kind])
 
     dim = 2 * k
     try:
-        blocks = np.asarray(matrices)
-    except ValueError:  # ragged nesting
-        blocks = None
-    if not (
-        blocks is not None
-        and blocks.dtype.kind in "iuf"
-        and blocks.shape == (L, dim, dim)
-        and np.isfinite(blocks).all()
-        and not (may_hold_bool and _holds_bool(chain.from_iterable(matrices)))
-    ):
+        blocks = _as_array(matrices, (L, dim, dim), "blocks", may_hold_bool)
+    except (ModelFormatError, DimensionMismatch):
         # Some block is malformed: check one at a time to name the first.
-        blocks = np.array(
-            [
-                _as_matrix(m, dim, f"block {ell} {kind}")
-                for ell, (m, kind) in enumerate(zip(matrices, kinds))
-            ]
-        )
-    blocks = blocks.astype(float, copy=False)
+        for ell, (m, kind) in enumerate(zip(matrices, kinds)):
+            _as_array(m, (dim, dim), f"block {ell} {kind}")
+        raise
     prec = [ell for ell, kind in enumerate(kinds) if kind == "precision"]
     if prec:
         def label(i):

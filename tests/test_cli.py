@@ -128,6 +128,10 @@ def _with_top_level(path, **extra):
         ),
         lambda p: _with_top_level(p, comment="not in the schema"),
         lambda p: _with_top_level(
+            p,
+            blocks=[{"covariance": LADDER1_BLOCK.tolist(), "precison": [[1]]}],
+        ),
+        lambda p: _with_top_level(
             p, k=1, blocks=[{"covariance": [[2.0, True], [True, 2.0]]}]
         ),
     ],
@@ -137,6 +141,7 @@ def _with_top_level(path, **extra):
         "bool-k",
         "numeric-strings",
         "unknown-key",
+        "unknown-block-key",
         "bool-entry",
     ],
 )
@@ -293,13 +298,17 @@ class TestGenCommand:
             assert main(args) == 0
             assert capsys.readouterr().out.encode() == out.read_bytes()
 
-    @pytest.mark.parametrize("lo,hi", [("0", "1"), ("0.2", "inf"), ("inf", "inf")])
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [("0", "1"), ("0.2", "inf"), ("inf", "inf"), ("1e308", "1.7e308")],
+    )
     def test_gen_bad_weight_range(self, capsys, lo, hi):
         args = ["gen", "--k", "2", "--l", "3", "--weight-range", lo, hi]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: weight_range")
         assert "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 class TestBenchCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussdual import (
+    STRUCTURES,
     GenSpec,
     LadderModel,
     build_dual,
@@ -12,6 +13,8 @@ from gaussdual import (
     logdet_dense,
     logdet_sigma_via_duality,
 )
+from gaussdual.dual import _dual_blocks
+from gaussdual.model import _block_tridiagonal
 from helpers import (
     LADDER1_DUAL_DENSE,
     LADDER2_DUAL_DENSE,
@@ -88,6 +91,26 @@ class TestBuildDual:
             dual = build_dual(model)
             got = logdet_dense(dual.dual_precision).logdet
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 64])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("structure", [*STRUCTURES, "dense"])
+def test_dual_blocks_are_the_overlap_add_interior(structure, k, L):
+    if structure == "dense":
+        a = np.random.default_rng(L).normal(size=(L, 2 * k, 2 * k))
+        stack = a @ np.swapaxes(a, 1, 2) + 2 * k * np.eye(2 * k)
+    else:
+        stack = generate(GenSpec(k=k, L=L, seed=5, structure=structure)).sigma_blocks
+    diag_blocks, off_blocks = _dual_blocks(stack, k)
+    assert diag_blocks.shape == (L - 1, k, k)
+    assert off_blocks.shape == (max(L - 2, 0), k, k)
+    assert not off_blocks.flags.owndata
+    # Rows 1 … L−1 of the overlap-add, the ones not pinned.
+    want_diag, want_off = _block_tridiagonal(stack, k)
+    for got, want in [(diag_blocks, want_diag[1:-1]), (off_blocks, want_off[1:-1])]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDualIsTree:

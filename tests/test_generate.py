@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,8 +106,17 @@ def test_generated_models_always_validate(k, L, seed, structure):
         GenSpec(k=2, L=3, seed=0, weight_range=(2.0, 1.0)),
         GenSpec(k=2, L=3, seed=0, weight_range=(0.2, math.inf)),
         GenSpec(k=2, L=3, seed=0, weight_range=(math.inf, math.inf)),
+        # Each weight is finite, but a diagonal, their row's sum, is not.
+        GenSpec(k=2, L=3, seed=0, weight_range=(1e308, 1.7e308)),
     ],
 )
 def test_infeasible_specs(spec):
     with pytest.raises(InfeasibleStructure):
         generate(spec)
+
+
+def test_diagonal_structure_at_any_weight_range():
+    # No weight is drawn, so none reaches a diagonal.
+    spec = GenSpec(k=2, L=3, seed=0, structure="diagonal")
+    huge = replace(spec, weight_range=(1e308, 1.7e308))
+    assert np.array_equal(generate(huge).sigma_blocks, generate(spec).sigma_blocks)

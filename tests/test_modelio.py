@@ -100,6 +100,10 @@ class TestLoad:
             (lambda d: d.update(metadata=0), "metadata must be an object"),
             (lambda d: d.update(metadata=False), "metadata must be an object"),
             (lambda d: d.update(metadata=""), "metadata must be an object"),
+            (
+                lambda d: d["blocks"][0].update(precison=[[1]]),
+                r"^block 0 has unknown keys \['precison'\]$",
+            ),
         ],
     )
     def test_schema_errors(self, mutate, error):

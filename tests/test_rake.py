@@ -111,9 +111,20 @@ def test_agrees_with_unraked_kernels(rake_all, structure, k, L):
 
 
 def test_one_late_block_adds_an_edge(rake_all):
-    model = _late_edge()
-    locals_, ld = _assert_matches_unraked(model)
-    assert locals_ is not None and ld is not None
+    # Block 700 of 1000 is past the scan's first chunk of 512 blocks, so
+    # the survivors change, and the schedules are made again, after a
+    # later chunk.
+    for L, ell in [(64, 50), (1000, 700)]:
+        model = _late_edge(L=L, ell=ell)
+        stack = model.sigma_blocks
+        for blocks, survivors in [
+            (stack[:ell], [[], [0]]),
+            (stack, [[1, 2, 3], [0, 1, 2, 3]]),
+        ]:
+            schedules = rake._scan(blocks, model.k, True)
+            assert [rest for _, rest in schedules] == survivors
+        locals_, ld = _assert_matches_unraked(model)
+        assert locals_ is not None and ld is not None
 
 
 @pytest.mark.parametrize(
