@@ -11,8 +11,8 @@ Two independent routes to log det(Σ):
 From `rake._RAKE_MIN_BLOCKS` blocks on, "block_tridiag" first rakes the
 leaves of the stack's shared zero pattern (`rake.raked_logdets`): the
 block graph's leaves for the local log-dets, the group graph's for
-Σ′⁻¹. The batched Cholesky then gets only each block's survivors and
-the band only each group's. With too little to rake (more than half
+Σ′⁻¹. `linalg._factor` then gets only each block's survivors and the
+band only each group's. With too little to rake (more than half
 of a graph's vertices survive), or a pivot at or below its floor, the
 unraked kernels run on the unraked arrays, so their values and errors
 are unchanged.
@@ -21,10 +21,10 @@ Both routes hand their k×k blocks to one kernel dispatch, `_eliminate`,
 so "dense" eliminates exactly the matrix the band holds. Their
 agreement is the substantive correctness check of the whole package,
 and `duality_check` states it as a relation between the primal and
-dual normalization constants. When both routes run, they start from
-one Cholesky factorization of the covariance stack: the dual route
-takes the local log-determinants from it, the direct route J's
-blocks, and only Σ′⁻¹ is raked.
+dual normalization constants. When both routes run, one pass of
+`linalg._factor` over the covariance stack gives the dual route its
+local log-determinants and the direct route its inverse blocks, which
+overlap-add into J; only Σ′⁻¹ is raked.
 """
 
 import math
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from .dual import _dual_blocks, build_dual
 from .elimination import logdet_block_tridiagonal, logdet_dense
-from .linalg import _inverse, _logdet
 from .model import _block_tridiagonal, _covariance_factor, _sparse_from_blocks
 from .rake import raked_logdets
 
@@ -85,22 +84,19 @@ def _eliminate(diag_blocks, off_blocks, method):
     return logdet_block_tridiagonal(diag_blocks, off_blocks).logdet
 
 
-def _logdet_direct(lower, k, method):
-    """log det(Σ) = −log det(J), J's blocks inverted from the factor ``lower``.
-
-    The inverse overwrites ``lower``.
-    """
-    return -_eliminate(*_block_tridiagonal(_inverse(lower), k), method)
+def _logdet_direct(inverses, k, method):
+    """log det(Σ) = −log det(J), J overlap-added from the block ``inverses``."""
+    return -_eliminate(*_block_tridiagonal(inverses, k), method)
 
 
 def _pass(model, dual_method, direct_method=None):
-    """Both routes over one factorization of the covariance stack.
+    """Both routes over one `linalg._factor` pass of the covariance stack.
 
     Returns the length-L local log-dets, log det(Σ′⁻¹), log det(Σ) by
     the duality identity and log det(Σ) by the direct route, None unless
     ``direct_method`` is given. On "block_tridiag", `raked_logdets`
     first rakes the leaves of the stack's shared zero pattern; the local
-    log-dets are raked only when no direct route needs the factor. The
+    log-dets are raked only when no direct route needs the inverses. The
     rake never raises, and the stack is factored before the band, so a
     bad covariance block is named before Σ′⁻¹ is judged.
     """
@@ -112,11 +108,10 @@ def _pass(model, dual_method, direct_method=None):
     if dual_method == "block_tridiag":
         locals_, ld_prime_inv = raked_logdets(stack, k, direct_method is None)
     if locals_ is None:
-        lower = _covariance_factor(model)
-        locals_ = _logdet(lower)
+        locals_, inverses = _covariance_factor(model, invert=direct_method is not None)
         if direct_method is not None:
-            ld_direct = _logdet_direct(lower, k, direct_method)
-        del lower  # freed before the dual's band is built
+            ld_direct = _logdet_direct(inverses, k, direct_method)
+        del inverses  # freed before the dual's band is built
     if ld_prime_inv is None:
         ld_prime_inv = _eliminate(*_dual_blocks(stack, k), dual_method)
     return locals_, ld_prime_inv, float(locals_.sum() - ld_prime_inv), ld_direct
@@ -160,7 +155,8 @@ def logdet_sigma_direct(model, method="block_tridiag"):
     Cholesky of J's k×k blocks, or "dense" Cholesky of the same J.
     """
     _check_method(method)
-    return _logdet_direct(_covariance_factor(model), model.k, method)
+    inverses = _covariance_factor(model, invert=True)[1]
+    return _logdet_direct(inverses, model.k, method)
 
 
 def z_constants(model):
@@ -191,8 +187,8 @@ def duality_check(model, tol=1e-9, direct_method="block_tridiag"):
     Z is computed entirely from the primal side (direct elimination of
     the assembled precision) and Z′ entirely from the dual side, so a
     small residual is genuine evidence that the two constructions
-    describe the same distribution. Both sides share one factorization
-    of the covariance stack. ``ok`` is ``|residual| <= tol ·
+    describe the same distribution. Both sides share one pass over the
+    covariance stack. ``ok`` is ``|residual| <= tol ·
     max(1, |log Z′|)``; ``tol`` must be a number >= 0.
     """
     if not tol >= 0:

@@ -14,9 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleStructure
+from .linalg import PIVOT_RTOL
 from .model import LadderModel
 
 STRUCTURES = ("star_pattern", "random_tree", "diagonal")
+
+# A block's eigenvalues lie between its smallest margin, at least 0.5,
+# and twice its largest diagonal D (Gershgorin). Every variable is in one
+# or two blocks, so the precision J has eigenvalues, and hence pivots,
+# above 1 / (2·D), and diagonal entries of at most 2 / 0.5 = 4, so a
+# pivot floor of at most 4·PIVOT_RTOL. Below this D, every pivot of J
+# clears its floor by a factor of two or more.
+_MAX_DIAGONAL = 1.0 / (16.0 * PIVOT_RTOL)
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,13 @@ def generate(spec):
       cross edge. Weights are still drawn independently per block.
     * ``diagonal``: no off-diagonal entries at all.
 
-    Diagonals are set to the absolute incident weight sum plus a draw
-    from [0.5, 1.5], making every block strictly diagonally dominant and
-    hence SPD. A sum that overflows raises InfeasibleStructure.
+    Diagonals are set to the absolute incident weight sum plus a margin,
+    a draw from [0.5, 1.5] times max(1, hi) for the weight range (lo,
+    hi), making every block strictly diagonally dominant and hence SPD.
+    The margin grows with the weights, as the pivot floor grows with the
+    diagonal. A diagonal entry at or past `_MAX_DIAGONAL`, where the
+    precision's pivots could fall under their floor, or one that
+    overflows raises InfeasibleStructure.
     """
     _check(spec)
     k, L = spec.k, spec.L
@@ -117,8 +130,10 @@ def generate(spec):
 
     blocks = np.zeros((L, 2 * k, 2 * k))
     n_edges = ei.shape[1]
+    scale = 1.0  # of the margin; the default range has max(1, hi) = 1
     if n_edges:
         lo, hi = spec.weight_range
+        scale = max(1.0, hi)
         mags = rng.uniform(lo, hi, size=(L, n_edges))
         signs = np.where(rng.random(size=(L, n_edges)) < 0.5, 1.0, -1.0)
         w = mags * signs
@@ -129,10 +144,12 @@ def generate(spec):
     # Weights near the float maximum can sum past it; such a diagonal is
     # rejected below.
     with np.errstate(over="ignore"):
-        diag = np.abs(blocks).sum(axis=2) + rng.uniform(0.5, 1.5, size=(L, 2 * k))
-    if not np.isfinite(diag).all():
+        margin = rng.uniform(0.5, 1.5, size=(L, 2 * k)) * scale
+        diag = np.abs(blocks).sum(axis=2) + margin
+    if not diag.max() < _MAX_DIAGONAL:
         raise InfeasibleStructure(
-            f"weight_range {spec.weight_range} overflows a diagonal entry"
+            f"weight_range {spec.weight_range} takes a diagonal entry to "
+            f"{diag.max():.3g}, at or past {_MAX_DIAGONAL:.3g}"
         )
     d = np.arange(2 * k)
     blocks[:, d, d] = diag

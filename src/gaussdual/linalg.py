@@ -9,12 +9,27 @@ rejected instead of symmetrized. The banded and dense factorizations
 pivots are judged in `rake`, against the same floor.
 
 The kernels are the symmetrization of an (L, n, n) stack of matrices or
-of one (n, n) matrix, and the Cholesky factorization, log-determinant
-and inverse of a stack. A stack is factored by one batched Cholesky
-call; only after a failure is it refactored block by block, to name the
-first bad block and pivot. It is inverted through its triangular
-factors, a whole stack at a time. The kernels are private: the engine
-routes, `validate`, `load_model` and `logdet_dense` call them.
+of one (n, n) matrix, and `_factor`: the log-determinants and, on
+request, the symmetric inverses of a stack. No caller needs the
+Cholesky factor itself, so `_factor` picks how to form it, by one rule
+on the stack's shape (`_entry_major`):
+
+* A long stack of small blocks, at least `_ENTRY_MAJOR_MIN_BLOCKS` of
+  order at most `_ENTRY_MAJOR_MAX_ORDER`, is worked entry-major, one
+  chunk of about 1 MiB at a time (`_chunks`): the chunk is transposed
+  to (n, n, B), so that each step of a column Cholesky, a row-by-row
+  triangular inverse and the upper triangle of XᵀX is one numpy call
+  over all B blocks, instead of one LAPACK or BLAS call per block. The
+  factor never exists at stack size. At a pivot at or below its floor
+  this path gives up, and the batched path reruns the whole stack.
+* Every other stack, and any stack with a bad pivot, is factored by one
+  batched Cholesky call; only after a failure is it refactored block by
+  block, to name the first bad block and pivot. It is inverted through
+  its triangular factors, a whole stack at a time.
+
+So a stack's errors, messages and ``pivot_index`` do not depend on its
+path. The kernels are private: the engine routes, `validate`,
+`load_model`, `rake` and `logdet_dense` call them.
 """
 
 import numpy as np
@@ -29,6 +44,12 @@ PIVOT_RTOL = 1e-12
 # Inputs with relative asymmetry below this are silently symmetrized
 # (tolerates JSON round-trip noise); anything larger is a hard error.
 SYMMETRY_RTOL = 1e-12
+
+# Stacks of at least this many blocks, each of order at most this, are
+# factored entry-major. Fewer or larger blocks are cheaper in numpy's
+# per-block LAPACK and BLAS calls (README has the crossover timings).
+_ENTRY_MAJOR_MIN_BLOCKS = 1024
+_ENTRY_MAJOR_MAX_ORDER = 8
 
 # How errors name block ell of a stack; callers pass their own, such as
 # "covariance block {}".format; `_name` calls a single matrix "matrix".
@@ -76,12 +97,16 @@ def _symmetric_part(m, label):
 
 
 def pivot_floor(diag):
-    """PIVOT_RTOL · max(1, max diagonal entry), over the last axis of ``diag``."""
-    return PIVOT_RTOL * np.fmax(1.0, np.max(diag, axis=-1, initial=-np.inf))
+    """PIVOT_RTOL · max(1, max diagonal entry), over the last axis of ``diag``.
+
+    Here, and in `_logdet`, array methods stand in for numpy functions:
+    on the small stacks of short ladders their dispatch costs less.
+    """
+    return PIVOT_RTOL * np.fmax(1.0, diag.max(axis=-1, initial=-np.inf))
 
 
 def _first_bad_pivot(diag, floor, info=0, squared=True):
-    """Flat index of the first pivot at or below ``floor``, or None.
+    """Flat index of the first pivot at or below ``floor``, or NaN, or None.
 
     The pivots are the squares of ``diag``, the diagonal of a Cholesky
     factor, or with ``squared=False`` the entries of ``diag``, the D of
@@ -90,21 +115,97 @@ def _first_bad_pivot(diag, floor, info=0, squared=True):
     """
     if info > 0:
         diag = diag[: info - 1]
-    bad = np.flatnonzero((diag**2 if squared else diag) <= floor)
-    if bad.size:
-        return int(bad[0])
+    ok = (diag**2 if squared else diag) > floor  # False at a NaN too
+    if not ok.all():
+        return int(np.flatnonzero(~ok)[0])
     return info - 1 if info > 0 else None
 
 
-def _cholesky(m, label, floor=None):
+def _chunks(stack, start=0):
+    """Slices of ``stack`` from block ``start`` on, about 1 MiB each."""
+    step = max(1, 2**20 // stack[0].nbytes)
+    return (slice(lo, lo + step) for lo in range(start, len(stack), step))
+
+
+def _entry_major(n_blocks, order):
+    """Whether `_factor` works a stack of this shape entry-major."""
+    return n_blocks >= _ENTRY_MAJOR_MIN_BLOCKS and 0 < order <= _ENTRY_MAJOR_MAX_ORDER
+
+
+def _factor(stack, label, floor=None, invert=False):
+    """Log-determinants, and with ``invert`` inverses, of an SPD stack.
+
+    ``stack`` is a symmetric (L, n, n) stack. Returns the length-L
+    log-determinants and the (L, n, n) inverses, symmetric bit for bit,
+    or None without ``invert``. Raises NotPositiveDefinite at the first
+    pivot, of the first block, at or below ``floor``, naming the block by
+    ``label(ell)``. The floor, one per block, defaults to `pivot_floor`
+    of the block's diagonal.
+    """
+    if floor is None:
+        floor = pivot_floor(np.diagonal(stack, axis1=-2, axis2=-1))
+    if _entry_major(len(stack), stack.shape[-1]):
+        done = _factor_entry_major(stack, floor, invert)
+        if done is not None:
+            return done
+    lower = _cholesky(stack, label, floor)
+    return _logdet(lower), _inverse(lower) if invert else None
+
+
+def _factor_entry_major(stack, floor, invert):
+    """`_factor` on (n, n, B) transposes of the stack's chunks, or None.
+
+    Each step below is one numpy call over the B blocks of a chunk.
+    Returns None at the first pivot at or below its floor, unnamed.
+    """
+    n = stack.shape[-1]
+    logdets = np.empty(len(stack))
+    inverses = np.empty_like(stack) if invert else None
+    for chunk in _chunks(stack):
+        a = stack[chunk].transpose(1, 2, 0).copy()
+        d = np.empty(a.shape[1:])
+        # Left-looking column Cholesky of the lower triangle; each pivot
+        # is judged before its square root.
+        for j in range(n):
+            if j:
+                a[j:, j] -= np.einsum("ipb,pb->ib", a[j:, :j], a[j, :j])
+            d[j] = a[j, j]
+            if _first_bad_pivot(d[j], floor[chunk], squared=False) is not None:
+                return None
+            s = np.sqrt(d[j])
+            a[j, j] = s
+            a[j + 1 :, j] /= s
+        logdets[chunk] = np.log(d).sum(axis=0)
+        if not invert:
+            continue
+        # X = L⁻¹ over L, a row at a time: once row m of X is done, each
+        # row i below it takes −L[i, m]·X[m, :m + 1] into its right-hand
+        # side, stored where L's columns :m + 1 of row i were.
+        for m in range(n):
+            x_mm = 1.0 / a[m, m]
+            a[m, m] = x_mm
+            a[m, :m] *= x_mm
+            below = a[m + 1 :, m]
+            a[m + 1 :, :m] -= below[:, None] * a[m, :m]
+            below *= -x_mm
+        # Σ⁻¹ = XᵀX, a column of its upper triangle at a time, mirrored,
+        # so the inverse is symmetric bit for bit.
+        gram = np.empty_like(a)
+        for q in range(n):
+            col = np.einsum("ipb,ib->pb", a[q:, : q + 1], a[q:, q])
+            gram[: q + 1, q] = col
+            gram[q, :q] = col[:q]
+        inverses[chunk] = gram.transpose(2, 0, 1)
+    return logdets, inverses
+
+
+def _cholesky(m, label, floor):
     """Lower Cholesky factors of a symmetric (L, n, n) stack.
 
     Raises NotPositiveDefinite at the first pivot, of the first block,
-    at or below ``floor``, naming the block by ``label(ell)``. The floor,
-    one per block, defaults to `pivot_floor` of the block's diagonal.
+    at or below ``floor``, one per block, naming the block by
+    ``label(ell)``.
     """
-    if floor is None:
-        floor = pivot_floor(np.diagonal(m, axis1=-2, axis2=-1))
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -130,7 +231,7 @@ def _cholesky(m, label, floor=None):
 
 def _logdet(lower):
     """Log-determinant from a Cholesky factor, per block of a stack."""
-    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+    return 2.0 * np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def _diagonal_blocks(x, size, count):
@@ -185,9 +286,7 @@ def _inverse(lower):
 
     X = L⁻¹ is formed in ``lower`` by `_triangular_inverse`, then
     Σ⁻¹ = XᵀX overwrites ``lower`` and is returned. At most three
-    stack-sized arrays are live: ``lower``, Xᵀ / 2 and XᵀX / 2. For the
-    (25000, 8, 8) stack of a k=4 ladder, 12.2 MiB, tracemalloc's peak
-    over the whole direct route is 36.6 MiB.
+    stack-sized arrays are live: ``lower``, Xᵀ / 2 and XᵀX / 2.
     """
     x = _triangular_inverse(lower)
     # The product runs from a contiguous copy of Xᵀ, which is faster than

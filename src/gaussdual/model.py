@@ -7,8 +7,9 @@ definiteness; acyclicity of the block sparsity graphs and of their
 union), and assembly of the global precision matrix implied by the
 product of local factors. The precision matrix and the union graph are
 both overlap-adds of a stack at stride k, read from the same band.
-The covariance stack is symmetrized, factored and inverted whole by
-the kernels in `linalg`; their errors name the covariance block.
+The covariance stack is symmetrized, and its log-determinants and
+inverses taken, by the kernels in `linalg`; their errors name the
+covariance block.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import _cholesky, _inverse, _logdet, _symmetric_part
+from .linalg import _factor, _symmetric_part
 
 _COVARIANCE = "covariance block {}".format
 
@@ -238,18 +239,18 @@ def assemble_global_precision(model):
     NotPositiveDefinite
         If any covariance block fails to factorize.
     """
-    inverses = _inverse(_covariance_factor(model))
+    inverses = _covariance_factor(model, invert=True)[1]
     return _sparse_from_blocks(*_block_tridiagonal(inverses, model.k))
 
 
-def _covariance_factor(model):
-    """Cholesky factors of the covariance stack; a failure names its block."""
-    return _cholesky(model.sigma_blocks, _COVARIANCE)
+def _covariance_factor(model, invert=False):
+    """`linalg._factor` of the covariance stack; a failure names its block."""
+    return _factor(model.sigma_blocks, _COVARIANCE, invert=invert)
 
 
 def local_logdets(model):
     """Log-determinant of each covariance block, as a length-L array."""
-    return _logdet(_covariance_factor(model))
+    return _covariance_factor(model)[0]
 
 
 def validate(model, zero_tol=0.0):
@@ -281,7 +282,7 @@ def validate(model, zero_tol=0.0):
 
     a1 = True
     try:
-        inverses = _inverse(_covariance_factor(model))
+        inverses = _covariance_factor(model, invert=True)[1]
     except NotPositiveDefinite as exc:
         a1 = False
         inverses = None
@@ -289,7 +290,7 @@ def validate(model, zero_tol=0.0):
 
     a2 = False
     if inverses is not None:
-        # The inverse stack is symmetric bit for bit (`linalg._inverse`).
+        # The inverse stack is symmetric bit for bit (`linalg._factor`).
         a2 = not _block_forests(np.abs(inverses) > zero_tol).any()
         if not a2:
             messages.append(

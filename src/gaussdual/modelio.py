@@ -34,9 +34,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionMismatch, ModelFormatError
-from .linalg import _cholesky, _inverse, _symmetric_part
+from .linalg import _chunks, _factor, _symmetric_part
 from .model import LadderModel
-from .rake import _chunks
 
 FORMAT_VERSION = "1"
 
@@ -135,7 +134,7 @@ def model_from_dict(doc, may_hold_bool=True):
             return f"precision block {prec[i]}"
 
         sym = _symmetric_part(blocks[prec], label)
-        blocks[prec] = _inverse(_cholesky(sym, label))
+        blocks[prec] = _factor(sym, label, invert=True)[1]
 
     metadata = doc.get("metadata")  # null is the same as absent
     _require(isinstance(metadata, (dict, type(None))), "metadata must be an object")

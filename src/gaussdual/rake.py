@@ -15,7 +15,7 @@ that come from the union of the blocks' exact non-zero patterns:
 Each graph's leaves-first schedule is worked out once, on at most 2k
 vertices, and each step then runs as a few vector operations over all
 L blocks or all L − 1 groups. Only the survivors go to the unraked
-kernels: the batched Cholesky on the (L, r, r) remainder, the banded
+kernels: `linalg._factor` on the (L, r, r) remainder, the banded
 Cholesky on the r×r block-tridiagonal remainder. Every pivot, raked or
 not, is judged against the floor of the unraked matrix. A part that has
 nothing to rake, or a rejected pivot, returns None, and the caller runs
@@ -26,7 +26,7 @@ import numpy as np
 
 from .elimination import _banded_logdet
 from .errors import NotPositiveDefinite
-from .linalg import _BLOCK, _cholesky, _logdet, pivot_floor
+from .linalg import _BLOCK, _chunks, _factor, pivot_floor
 
 # Below this many blocks the scan, the schedules and the extra numpy
 # calls cost more than raking saves. On star_pattern, k=4, the dual route
@@ -43,12 +43,6 @@ def _no_leaf(pattern, k):
     within = pattern[:k, :k] | pattern[k:, k:]
     degree = within.sum(axis=1) - within.diagonal() + cross.sum(axis=1)
     return (degree + cross.sum(axis=0)).min() >= 2
-
-
-def _chunks(stack, start=0):
-    """Slices of ``stack`` from block ``start`` on, about 1 MiB each."""
-    step = max(1, 2**20 // stack[0].nbytes)
-    return (slice(lo, lo + step) for lo in range(start, len(stack), step))
 
 
 def _scan(stack, k, local):
@@ -153,7 +147,7 @@ def _rake_blocks(stack, steps, survivors, rows, at):
         i = np.arange(r.size)
         rest[:, i, i] = d[r].T
         try:
-            logdet += _logdet(_cholesky(rest, _BLOCK, floor))
+            logdet += _factor(rest, _BLOCK, floor)[0]
         except NotPositiveDefinite:
             return None
     return logdet

@@ -144,11 +144,11 @@ def random_spd_dense(n, rng):
 
 
 def invert(stack):
-    """Inverses of an (L, n, n) SPD stack through the package's kernels,
-    the path `load_model` takes for precision blocks."""
-    from gaussdual.linalg import _BLOCK, _cholesky, _inverse, _symmetric_part
+    """Inverses of an (L, n, n) SPD stack through the package's kernel,
+    `linalg._factor`, the path `load_model` takes for precision blocks."""
+    from gaussdual.linalg import _BLOCK, _factor, _symmetric_part
 
-    return _inverse(_cholesky(_symmetric_part(stack, _BLOCK), _BLOCK))
+    return _factor(_symmetric_part(stack, _BLOCK), _BLOCK, invert=True)[1]
 
 
 class UnionFind:

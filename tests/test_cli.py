@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from gaussdual import load_model, validate
 from gaussdual.cli import main
 from helpers import EXAMPLES_DIR, LADDER1_BLOCK, margin_models
 
@@ -298,9 +299,42 @@ class TestGenCommand:
             assert main(args) == 0
             assert capsys.readouterr().out.encode() == out.read_bytes()
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_gen_large_weights_verify_or_exit_2(self, tmp_path, capsys, k):
+        # The diagonal margin grows with the weights, so a model that gen
+        # writes passes assumption 1 and both routes agree on it; past
+        # the precision's pivot floor, gen refuses before it writes.
+        written = refused = 0
+        for hi in [10.0**e for e in range(3, 301, 9)]:
+            for structure in ["star_pattern", "random_tree"]:
+                out = tmp_path / f"{structure}-{hi:g}.json"
+                args = [
+                    "gen", "--k", str(k), "--l", "3", "--seed", "1",
+                    "--structure", structure,
+                    "--weight-range", repr(hi / 2), repr(hi), "--out", str(out),
+                ]
+                code = main(args)
+                if code == 2:
+                    refused += 1
+                    assert not out.exists()
+                    assert capsys.readouterr().err.startswith("error: weight_range")
+                    continue
+                assert code == 0
+                written += 1
+                assert validate(load_model(out)[0]).assumption1_ok
+                assert main(["verify", str(out)]) == 0
+        capsys.readouterr()
+        assert written and refused
+
     @pytest.mark.parametrize(
         "lo,hi",
-        [("0", "1"), ("0.2", "inf"), ("inf", "inf"), ("1e308", "1.7e308")],
+        [
+            ("0", "1"),
+            ("0.2", "inf"),
+            ("inf", "inf"),
+            ("1e308", "1.7e308"),
+            ("1e15", "2e15"),  # finite diagonals, but J's pivots under the floor
+        ],
     )
     def test_gen_bad_weight_range(self, capsys, lo, hi):
         args = ["gen", "--k", "2", "--l", "3", "--weight-range", lo, hi]

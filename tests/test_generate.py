@@ -53,6 +53,18 @@ def test_weight_magnitudes_within_range():
         assert np.all((mags >= 0.4) & (mags <= 0.7))
 
 
+@pytest.mark.parametrize("hi", [1.0, 1e3, 1e9])
+def test_margin_scales_with_the_weights(hi):
+    # Each diagonal exceeds its row's off-diagonal sum by a draw from
+    # [0.5, 1.5] times max(1, hi), so blocks stay as well conditioned as
+    # at unit weights.
+    spec = GenSpec(k=3, L=20, seed=2, structure="random_tree")
+    blocks = generate(replace(spec, weight_range=(hi / 2, hi))).sigma_blocks
+    off = np.abs(blocks).sum(axis=2) - 2 * blocks.diagonal(axis1=1, axis2=2)
+    margin = -off / hi
+    assert (margin >= 0.5 * (1 - 1e-12)).all() and (margin <= 1.5).all()
+
+
 @pytest.mark.parametrize("structure", ["star_pattern", "random_tree"])
 def test_duals_are_trees(structure):
     for seed in range(15):

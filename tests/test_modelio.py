@@ -20,7 +20,7 @@ from gaussdual import (
     save_model,
 )
 from gaussdual.modelio import dual_to_dict, model_from_dict, write_model
-from gaussdual.rake import _chunks
+from gaussdual.linalg import _chunks
 from helpers import (
     EXAMPLES_DIR,
     LADDER1_BLOCK,
