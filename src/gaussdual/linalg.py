@@ -1,10 +1,14 @@
 """Dense symmetric positive-definite kernels, and the shared tolerances.
 
-The package's two tolerances are decided here. `pivot_floor` is the
-level at or below which a pivot counts as non-positive, and
-`_first_bad_pivot` finds the first pivot of a factor that is under it;
-`SYMMETRY_RTOL` is the relative asymmetry past which a matrix is
-rejected instead of symmetrized. The banded and dense factorizations
+The package's two tolerances are decided here, both relative to the
+matrix they judge and to nothing else, so a model scaled by any c > 0
+is accepted or rejected as the model itself is (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 10). `pivot_floor` is the level
+at or below which a pivot counts as non-positive, `PIVOT_RTOL` times
+the matrix's largest diagonal entry, and `_first_bad_pivot` finds the
+first pivot of a factor that is under it; `SYMMETRY_RTOL` times a
+matrix's largest entry is the asymmetry past which it is rejected
+instead of symmetrized. The banded and dense factorizations
 (``dpbtrf``, ``dpttrf``, ``dpotrf``) run in `elimination`, and raked
 pivots are judged in `rake`, against the same floor.
 
@@ -37,12 +41,13 @@ from scipy.linalg import lapack
 
 from .errors import NotPositiveDefinite
 
-# A pivot counts as non-positive when <= PIVOT_RTOL * max(1, max diagonal
-# entry). Scale-relative so tiny well-conditioned problems are not rejected.
+# A pivot counts as non-positive when <= PIVOT_RTOL * (largest diagonal
+# entry of its matrix), or when <= 0.
 PIVOT_RTOL = 1e-12
 
-# Inputs with relative asymmetry below this are silently symmetrized
-# (tolerates JSON round-trip noise); anything larger is a hard error.
+# Inputs whose asymmetry is at most this times their largest entry are
+# silently symmetrized (tolerates JSON round-trip noise); anything larger
+# is a hard error.
 SYMMETRY_RTOL = 1e-12
 
 # Stacks of at least this many blocks, each of order at most this, are
@@ -64,8 +69,8 @@ def _symmetric_part(m, label):
     """Symmetric part ``(m + mᵀ) / 2`` of a square matrix or stack.
 
     Raises ValueError if ``m`` is not square, or if a matrix has a
-    non-finite entry or a relative asymmetry over `SYMMETRY_RTOL`,
-    naming the first such block by ``label(ell)``.
+    non-finite entry or an asymmetry over `SYMMETRY_RTOL` times its
+    largest entry, naming the first such block by ``label(ell)``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -74,7 +79,7 @@ def _symmetric_part(m, label):
         )
     t = np.swapaxes(m, -1, -2)
     if m.size:
-        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        scale = np.abs(m).max(axis=(-2, -1))
         # NaN or inf exactly where a matrix has a non-finite entry.
         bad = np.flatnonzero(~np.isfinite(scale))
         if bad.size:
@@ -97,12 +102,14 @@ def _symmetric_part(m, label):
 
 
 def pivot_floor(diag):
-    """PIVOT_RTOL · max(1, max diagonal entry), over the last axis of ``diag``.
+    """PIVOT_RTOL · max(0, max diagonal entry), over the last axis of ``diag``.
+
+    The 0 keeps a matrix with no positive diagonal entry rejected.
 
     Here, and in `_logdet`, array methods stand in for numpy functions:
     on the small stacks of short ladders their dispatch costs less.
     """
-    return PIVOT_RTOL * np.fmax(1.0, diag.max(axis=-1, initial=-np.inf))
+    return PIVOT_RTOL * np.fmax(0.0, diag.max(axis=-1, initial=-np.inf))
 
 
 def _first_bad_pivot(diag, floor, info=0, squared=True):

@@ -25,13 +25,24 @@ from .linalg import _factor, _symmetric_part
 _COVARIANCE = "covariance block {}".format
 
 
+def _positive_int(name, value, error):
+    """``value`` as an int if it is an integer >= 1; else raise ``error``.
+
+    Python and numpy integers qualify; a bool, though an int, does not.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= 1):
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 class LadderModel:
     """Chain of L overlapping Gaussian factors, each on 2k variables.
 
     Parameters
     ----------
     k : int
-        Half-block width; consecutive blocks share k variables.
+        Half-block width, ≥ 1; consecutive blocks share k variables.
     L : int
         Number of blocks, ≥ 1.
     sigma_blocks : sequence of (2k, 2k) arrays
@@ -48,12 +59,8 @@ class LadderModel:
     """
 
     def __init__(self, k, L, sigma_blocks):
-        k = int(k)
-        L = int(L)
-        if k < 1:
-            raise DimensionMismatch(f"k must be >= 1, got {k}")
-        if L < 1:
-            raise DimensionMismatch(f"L must be >= 1, got {L}")
+        k = _positive_int("k", k, DimensionMismatch)
+        L = _positive_int("L", L, DimensionMismatch)
         blocks = np.asarray(sigma_blocks, dtype=float)
         if blocks.shape != (L, 2 * k, 2 * k):
             raise DimensionMismatch(

@@ -16,18 +16,18 @@ for the block's nested list, formatting each block's distinct non-zero
 entries once; any JSON layout of the same schema loads.
 
 Loading builds a whole file's worth of Python objects: about 1.6
-million floats in 250,000 lists and dicts for a k=4, L=25,000 model;
-saving builds a chunk's worth of strings and object arrays at a time.
+million floats in 250,000 lists and dicts for a k=4, L=25,000 model.
 None of them is in a reference cycle, so reference counting frees them
 all, but the cyclic garbage collector would walk the young ones after
 every 700 container allocations (its default threshold) and find
-nothing to free. Both run with the collector paused, and its earlier
-state, enabled or not, is restored afterwards.
+nothing to free. So loading runs with the collector paused, and its
+earlier state, enabled or not, is restored afterwards. Saving allocates
+only a few containers per chunk of blocks, too few to start a
+collection.
 """
 
 import gc
 import json
-from contextlib import contextmanager
 from functools import cache
 from itertools import chain
 
@@ -35,26 +35,22 @@ import numpy as np
 
 from .errors import DimensionMismatch, ModelFormatError
 from .linalg import _chunks, _factor, _symmetric_part
-from .model import LadderModel
+from .model import LadderModel, _positive_int
 
 FORMAT_VERSION = "1"
-
-
-@contextmanager
-def _collector_paused():
-    """Disable the cyclic garbage collector; re-enable it if it was enabled."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _require(cond, msg):
     if not cond:
         raise ModelFormatError(msg)
+
+
+def _to_float(x):
+    """The float nearest the JSON number ``x``, inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf
 
 
 def _as_array(data, shape, what, may_hold_bool=True):
@@ -68,6 +64,9 @@ def _as_array(data, shape, what, may_hold_bool=True):
         m = np.asarray(data)
     except ValueError:  # ragged nesting
         m = np.asarray(None)
+    if m.dtype == object and all(type(x) in (int, float) for x in m.flat):
+        # Integers past int64 make an object array: they stand for floats.
+        m = np.array([_to_float(x) for x in m.flat]).reshape(m.shape)
     # Only JSON numbers make an int or float array: strings, nulls and
     # objects make other dtypes, and so do booleans alone. Booleans among
     # numbers become 1 and 0, so the entries are searched for them too.
@@ -95,10 +94,8 @@ def model_from_dict(doc, may_hold_bool=True):
     )
     unknown = sorted(set(doc) - {"format_version", "k", "L", "blocks", "metadata"})
     _require(not unknown, f"unknown top-level keys {unknown}")
-    k, L = doc.get("k"), doc.get("L")
-    # type(...) is int: JSON true/false parse as bool, a subclass of int.
-    _require(type(k) is int and k >= 1, f"k must be a positive integer, got {k!r}")
-    _require(type(L) is int and L >= 1, f"L must be a positive integer, got {L!r}")
+    k = _positive_int("k", doc.get("k"), ModelFormatError)
+    L = _positive_int("L", doc.get("L"), ModelFormatError)
     blocks_doc = doc.get("blocks")
     _require(isinstance(blocks_doc, list), "blocks must be a list")
     _require(
@@ -171,16 +168,27 @@ def _read_json(path):
         return json.loads(text), booleans
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not UTF-8 text ({exc})") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # A ValueError is a JSONDecodeError, or an integer of more digits than
+    # Python converts (sys.get_int_max_str_digits).
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def load_model(path):
-    """Read a model file; returns (LadderModel, metadata dict)."""
+    """Read a model file; returns (LadderModel, metadata dict).
+
+    The cyclic garbage collector is paused meanwhile, and re-enabled
+    afterwards only if it was enabled.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     # The parsed document is freed as model_from_dict returns, before the
     # collector resumes, so it never sees those objects.
-    with _collector_paused():
+    try:
         return model_from_dict(*_read_json(path))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 _BLOCK_START = '    {"covariance": [['
@@ -222,24 +230,23 @@ def write_model(fh, model, metadata=None):
     stack = model.sigma_blocks
     iu, ju, at, seps = _block_layout(stack.shape[-1])
     tokens = None  # each entry's text, then its separator
-    with _collector_paused():
-        for chunk in _chunks(stack):
-            upper = stack[chunk][:, iu, ju]
-            # −0.0 == 0, but its repr is "-0.0".
-            formatted = (upper != 0) | np.signbit(upper)
-            # The n-th formatted entry of the chunk is text n + 1.
-            text = np.empty(np.count_nonzero(formatted) + 1, dtype=object)
-            text[0] = "0.0"
-            text[1:] = list(map(float.__repr__, upper[formatted].tolist()))
-            where = np.cumsum(formatted).reshape(upper.shape) * formatted
-            if tokens is None:  # the first chunk is the longest
-                tokens = np.empty((len(upper), at.size, 2), dtype=object)
-                tokens[..., 1] = seps
-            part = tokens[: len(upper)]
-            part[..., 0] = text[where[:, at]]
-            if chunk.stop >= len(stack):
-                part[-1, -1, 1] = _BLOCK_END
-            fh.write("".join(part.ravel().tolist()))
+    for chunk in _chunks(stack):
+        upper = stack[chunk][:, iu, ju]
+        # −0.0 == 0, but its repr is "-0.0".
+        formatted = (upper != 0) | np.signbit(upper)
+        # The n-th formatted entry of the chunk is text n + 1.
+        text = np.empty(np.count_nonzero(formatted) + 1, dtype=object)
+        text[0] = "0.0"
+        text[1:] = list(map(float.__repr__, upper[formatted].tolist()))
+        where = np.cumsum(formatted).reshape(upper.shape) * formatted
+        if tokens is None:  # the first chunk is the longest
+            tokens = np.empty((len(upper), at.size, 2), dtype=object)
+            tokens[..., 1] = seps
+        part = tokens[: len(upper)]
+        part[..., 0] = text[where[:, at]]
+        if chunk.stop >= len(stack):
+            part[-1, -1, 1] = _BLOCK_END
+        fh.write("".join(part.ravel().tolist()))
     fh.write("\n  ]\n}\n")
 
 

@@ -135,6 +135,13 @@ def _with_top_level(path, **extra):
         lambda p: _with_top_level(
             p, k=1, blocks=[{"covariance": [[2.0, True], [True, 2.0]]}]
         ),
+        lambda p: _with_top_level(
+            p, k=1, blocks=[{"covariance": [[10**400, 1.0], [1.0, 10**400]]}]
+        ),
+        lambda p: _with_top_level(
+            p, k=1, blocks=[{"covariance": [[10**30, "1"], ["1", 10**30]]}]
+        ),
+        lambda p: p.write_text('{"format_version": "1", "k": ' + "9" * 5000 + "}"),
     ],
     ids=[
         "directory",
@@ -144,6 +151,9 @@ def _with_top_level(path, **extra):
         "unknown-key",
         "unknown-block-key",
         "bool-entry",
+        "integer-past-float-range",
+        "wide-integer-and-string",
+        "integer-past-digit-limit",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make):
@@ -153,6 +163,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def _indefinite(b):
@@ -301,10 +312,10 @@ class TestGenCommand:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_gen_large_weights_verify_or_exit_2(self, tmp_path, capsys, k):
-        # The diagonal margin grows with the weights, so a model that gen
-        # writes passes assumption 1 and both routes agree on it; past
-        # the precision's pivot floor, gen refuses before it writes.
-        written = refused = 0
+        # The diagonal margin grows with the weights, and the pivot floor
+        # is relative to each matrix, so every model that gen writes below
+        # overflow passes assumption 1 and both routes agree on it.
+        refused = 0
         for hi in [10.0**e for e in range(3, 301, 9)]:
             for structure in ["star_pattern", "random_tree"]:
                 out = tmp_path / f"{structure}-{hi:g}.json"
@@ -320,11 +331,21 @@ class TestGenCommand:
                     assert capsys.readouterr().err.startswith("error: weight_range")
                     continue
                 assert code == 0
-                written += 1
                 assert validate(load_model(out)[0]).assumption1_ok
                 assert main(["verify", str(out)]) == 0
         capsys.readouterr()
-        assert written and refused
+        assert refused == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("lo,hi", [("1e15", "2e15"), ("5e306", "1e307")])
+    def test_gen_wide_weight_range_verifies(self, tmp_path, capsys, k, lo, hi):
+        # At 1e15, J's pivots fall under any floor with an absolute part;
+        # 1e307 is the last decade whose diagonals stay finite.
+        out = tmp_path / "model.json"
+        args = ["gen", "--k", str(k), "--l", "3", "--weight-range", lo, hi]
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -333,7 +354,7 @@ class TestGenCommand:
             ("0.2", "inf"),
             ("inf", "inf"),
             ("1e308", "1.7e308"),
-            ("1e15", "2e15"),  # finite diagonals, but J's pivots under the floor
+            ("5e307", "1e308"),  # finite weights, but a diagonal overflows
         ],
     )
     def test_gen_bad_weight_range(self, capsys, lo, hi):

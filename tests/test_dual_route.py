@@ -43,11 +43,16 @@ def test_matches_forest_kernel_and_dense_oracle(structure, k, L):
     assert logdet_sigma_direct(model) == pytest.approx(forest, rel=1e-12)
 
 
-@pytest.mark.parametrize("c", [1e100, 1e200])
+@pytest.mark.parametrize("c", [1e100, 1e200, 1e300, 1e-13, 1e-100, 1e-200, 1e-300])
 def test_large_scale_shifts_by_n_log_c(c):
     # |w| ≳ 1e154 once overflowed w·w in the forest kernel's Schur update.
+    # c ≤ 1e-13 takes the blocks' pivots, and c ≥ 1e100 those of J, under
+    # any floor with an absolute part.
     model = generate(GenSpec(k=3, L=6, seed=1, structure="random_tree"))
     scaled = LadderModel(model.k, model.L, c * model.sigma_blocks)
     expected = logdet_sigma_direct(model, "dense") + model.N * math.log(c)
     assert logdet_sigma_via_duality(scaled) == pytest.approx(expected, rel=1e-12)
     assert _forest_route(scaled) == pytest.approx(expected, rel=1e-12)
+    for method in ("block_tridiag", "dense"):
+        got = logdet_sigma_direct(scaled, method)
+        assert got == pytest.approx(expected, rel=1e-12)

@@ -120,6 +120,10 @@ def test_generated_models_always_validate(k, L, seed, structure):
         GenSpec(k=2, L=3, seed=0, weight_range=(math.inf, math.inf)),
         # Each weight is finite, but a diagonal, their row's sum, is not.
         GenSpec(k=2, L=3, seed=0, weight_range=(1e308, 1.7e308)),
+        # Counts are integers: not floats, however whole, and not bools.
+        GenSpec(k=2.5, L=3, seed=0),
+        GenSpec(k=2, L=3.0, seed=0),
+        GenSpec(k=True, L=3, seed=0),
     ],
 )
 def test_infeasible_specs(spec):

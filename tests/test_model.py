@@ -84,11 +84,37 @@ class TestLadderModel:
         with pytest.raises(DimensionMismatch):
             LadderModel(k, L, np.zeros((max(L, 1), 2 * max(k, 1), 2 * max(k, 1))))
 
+    @pytest.mark.parametrize(
+        "k,L",
+        [(2.9, 3.7), (2.0, 3), (2, 3.0), (True, 3), (2, np.float64(3)), ("2", 3)],
+        ids=["floats", "float-k", "float-L", "bool-k", "numpy-float-L", "str-k"],
+    )
+    def test_non_integer_counts(self, k, L):
+        # int() would truncate 2.9 and 3.7 to k=2, L=3, which these blocks fit.
+        with pytest.raises(DimensionMismatch, match="must be a positive integer"):
+            LadderModel(k, L, [LADDER1_BLOCK] * 3)
+
+    def test_numpy_integer_counts(self):
+        m = LadderModel(np.int64(2), np.int32(3), [LADDER1_BLOCK] * 3)
+        assert (type(m.k), type(m.L), m.N) == (int, int, 8)
+
     def test_asymmetric_block_rejected(self):
         b = LADDER1_BLOCK.copy()
         b[0, 1] = 9.0
         with pytest.raises(ValueError, match="not symmetric"):
             LadderModel(2, 1, [b])
+
+    def test_small_asymmetric_block_rejected(self):
+        # The asymmetry, 5e-13, is five times the block's own largest
+        # entry, though under SYMMETRY_RTOL · 1.
+        with pytest.raises(ValueError, match="covariance block 0 is not symmetric"):
+            LadderModel(1, 1, [[[1e-13, 5e-13], [0.0, 1e-13]]])
+
+    def test_scaled_round_off_symmetrized(self):
+        b = 1e-200 * LADDER1_BLOCK
+        b[0, 1] *= 1 + 1e-15
+        model = LadderModel(2, 1, [b])
+        assert np.array_equal(model.sigma_blocks[0], model.sigma_blocks[0].T)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_rejected(self, value):

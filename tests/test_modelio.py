@@ -75,6 +75,27 @@ class TestLoad:
         with pytest.raises(ModelFormatError, match="invalid JSON"):
             load_model(path)
 
+    def test_integer_past_the_digit_limit_names_the_path(self, tmp_path):
+        # Python refuses to convert an integer of 5,000 digits.
+        text = corrupt_block_3(lambda b: b[0].__setitem__(0, 123.0))
+        path = tmp_path / "digits.json"
+        path.write_text(text.replace("123.0", "9" * 5000))
+        with pytest.raises(ModelFormatError, match="digits.json: invalid JSON"):
+            load_model(path)
+
+    def test_integers_past_int64_load_as_floats(self, tmp_path):
+        # 10**30 is a valid JSON number, but numpy keeps it in an object array.
+        block = [[10**30, 0], [0, 2**64]]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc_for([{"covariance": block}], k=1)))
+        assert "1000000000000000000000000000000" in path.read_text()
+        model, _ = load_model(path)
+        assert np.array_equal(model.sigma_blocks[0], [[1e30, 0.0], [0.0, 2.0**64]])
+        block[0][0] = 10**400  # past the float range
+        path.write_text(json.dumps(doc_for([{"covariance": block}], k=1)))
+        with pytest.raises(ModelFormatError, match="covariance contains non-finite"):
+            load_model(path)
+
     def test_undecodable_file_names_the_path(self, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -164,6 +185,10 @@ class TestLoadErrorsNameTheBlock:
             (lambda b: b[0].__setitem__(1, float("nan")), ModelFormatError),
             (lambda b: b[2].__setitem__(3, True), ModelFormatError),
             (lambda b: b[1].__setitem__(0, False), ModelFormatError),
+            (lambda b: b[1].__setitem__(1, 10**400), ModelFormatError),
+            (lambda b: b[1].__setitem__(slice(2), [10**30, "1"]), ModelFormatError),
+            (lambda b: b[1].__setitem__(slice(2), [10**30, True]), ModelFormatError),
+            (lambda b: b[1].__setitem__(slice(2), [10**30, None]), ModelFormatError),
         ],
         ids=[
             "wrong-shape",
@@ -172,6 +197,10 @@ class TestLoadErrorsNameTheBlock:
             "nan",
             "true-entry",
             "false-entry",
+            "integer-past-float-range",
+            "wide-integer-and-string",
+            "wide-integer-and-true",
+            "wide-integer-and-null",
         ],
     )
     def test_corrupt_block_3(self, tmp_path, mutate, error):

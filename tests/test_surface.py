@@ -139,3 +139,16 @@ def test_every_parameter_is_read():
                 if p is not None and p.arg not in read
             )
     assert unread == []
+
+
+def test_tolerances_are_read_only_in_linalg():
+    # Each tolerance is decided in one place. Other modules take the
+    # pivot floor from `linalg.pivot_floor` and the symmetry check from
+    # `linalg._symmetric_part`, and import neither constant.
+    readers = [
+        f"{name}: {tol}"
+        for name, tree in _modules().items()
+        if name != "linalg.py"
+        for tol in sorted({"PIVOT_RTOL", "SYMMETRY_RTOL"} & _references(tree.body))
+    ]
+    assert readers == []
