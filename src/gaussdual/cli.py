@@ -69,24 +69,30 @@ def _run_method(model, name):
 
 
 def _emit(doc, as_json):
+    """Print a report dict as indented JSON, or as text.
+
+    Text is one ``key: value`` line per field, in field order. A list of
+    more than 12 entries prints as its first three entries and its
+    length, and the ``messages`` field prints as ``note:`` lines.
+    """
     if as_json:
         print(json.dumps(doc, indent=2))
-    else:
-        for key, value in doc.items():
+        return
+    for key, value in doc.items():
+        if key == "messages":
+            for msg in value:
+                print(f"note: {msg}")
+        elif isinstance(value, list) and len(value) > 12:
+            head = ", ".join(repr(v) for v in value[:3])
+            print(f"{key}: [{head}, ...] ({len(value)} entries)")
+        else:
             print(f"{key}: {value}")
 
 
 def cmd_validate(args):
     model, _ = load_model(args.model)
     report = validate(model, zero_tol=args.zero_tol)
-    doc = asdict(report)
-    if args.json:
-        _emit(doc, True)
-    else:
-        del doc["messages"]
-        _emit(doc, False)
-        for msg in report.messages:
-            print(f"note: {msg}")
+    _emit(asdict(report), args.json)
     return 0 if report.ok else 1
 
 
@@ -148,20 +154,7 @@ def cmd_verify(args):
 
 def cmd_z(args):
     model, _ = load_model(args.model)
-    report = z_constants(model)
-    if args.json:
-        _emit(asdict(report), True)
-    else:
-        print(f"log_zf: {report.log_zf!r}")
-        zl = report.log_zl
-        if len(zl) <= 12:
-            print(f"log_zl: {zl!r}")
-        else:
-            head = ", ".join(repr(v) for v in zl[:3])
-            print(f"log_zl: [{head}, ...] ({len(zl)} entries)")
-        print(f"log_z: {report.log_z!r}")
-        print(f"log_zprime: {report.log_zprime!r}")
-        print(f"duality_residual: {report.duality_residual!r}")
+    _emit(asdict(z_constants(model)), args.json)
     return 0
 
 

@@ -42,9 +42,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 class ZReport:
     """Normalization constants of a ladder model, all in natural logs.
 
-    ``log_z = log_zf - sum(log_zl)`` holds exactly by construction;
-    ``duality_residual`` restates the scale relation between the dual
-    constant Z′ and the primal Z and should vanish to round-off.
+    ``log_z = log_zf − Σ log_zl``, where the sum is exact
+    (`math.fsum`); ``duality_residual`` restates the scale relation
+    between the dual constant Z′ and the primal Z and should vanish to
+    round-off.
     """
 
     log_zf: float
@@ -121,8 +122,8 @@ def _z_report(model, locals_, ld_prime_inv, logdet_sigma):
     """Z bookkeeping: log Z_f from ``logdet_sigma``, log Z′ from the dual."""
     k, n_vars = model.k, model.N
     log_zf = 0.5 * (n_vars * LOG_2PI + logdet_sigma)
-    log_zl = [0.5 * (2 * k * LOG_2PI + v) for v in locals_.tolist()]
-    log_z = log_zf - sum(log_zl)
+    log_zl = (k * LOG_2PI + 0.5 * locals_).tolist()
+    log_z = log_zf - math.fsum(log_zl)
     log_zprime = (k + n_vars / 2.0) * LOG_2PI - 0.5 * ld_prime_inv
     residual = log_zprime - (n_vars * LOG_2PI + log_z)
     return ZReport(

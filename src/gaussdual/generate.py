@@ -9,6 +9,7 @@ neighbor, or the two structures would union into a cycle.
 """
 
 import bisect
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ STRUCTURES = ("star_pattern", "random_tree", "diagonal")
 class GenSpec:
     """Recipe for one random model.
 
-    k and L are positive integers, Python or numpy, not bool.
-    weight_range bounds the magnitude of off-diagonal weights; signs are
+    k and L are positive integers and seed a non-negative one, Python or
+    numpy, not bool. weight_range is a pair (lo, hi) of real numbers, not
+    bools, bounding the magnitude of off-diagonal weights; signs are
     random. Must be finite and must not straddle or touch zero.
     """
 
@@ -42,10 +44,16 @@ def _check(spec):
         raise InfeasibleStructure(
             f"unknown structure {spec.structure!r}; choose from {STRUCTURES}"
         )
-    lo, hi = spec.weight_range
-    if not 0.0 < lo <= hi < np.inf:
+    seed = spec.seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InfeasibleStructure(f"seed must be a non-negative integer, got {seed!r}")
+    pair = spec.weight_range
+    reals = isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair
+    )
+    if not (reals and 0.0 < pair[0] <= pair[1] < np.inf):
         raise InfeasibleStructure(
-            f"weight_range must satisfy 0 < lo <= hi < inf, got {spec.weight_range}"
+            f"weight_range must be two numbers with 0 < lo <= hi < inf, got {pair!r}"
         )
 
 

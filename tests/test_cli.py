@@ -275,6 +275,42 @@ class TestVerifyAndZ:
         )
 
 
+def _text_lines(doc):
+    """The text rendering of a report's JSON document, line by line."""
+    for key, value in doc.items():
+        if key == "messages":
+            yield from (f"note: {msg}" for msg in value)
+        elif isinstance(value, list) and len(value) > 12:
+            head = ", ".join(repr(v) for v in value[:3])
+            yield f"{key}: [{head}, ...] ({len(value)} entries)"
+        else:
+            yield f"{key}: {value}"
+
+
+@pytest.mark.parametrize("command", ["validate", "z"])
+@pytest.mark.parametrize("source", ["example1", "long", "dense"])
+def test_text_output_renders_the_json(tmp_path, capsys, command, source):
+    # One line per field of the --json document, in field order; a list
+    # of more than 12 entries is abbreviated and messages become notes.
+    if source == "example1":
+        path = EXAMPLE1
+    elif source == "long":
+        path = str(tmp_path / "long.json")
+        assert main(["gen", "--k", "2", "--l", "40", "--seed", "3", "--out", path]) == 0
+    else:
+        dense = np.ones((4, 4)) * 0.3 + 4.0 * np.eye(4)
+        path = write_model(tmp_path / "dense.json", [dense] * 3, k=2)
+    code = main([command, path])
+    text = capsys.readouterr().out
+    assert main([command, path, "--json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert text.splitlines() == list(_text_lines(doc))
+    if source == "long" and command == "z":
+        assert "(40 entries)" in text
+    if source == "dense" and command == "validate":
+        assert code == 1 and "\nnote: " in text
+
+
 class TestGenCommand:
     def test_gen_validate_verify(self, tmp_path, capsys):
         out = tmp_path / "gen.json"
@@ -364,6 +400,15 @@ class TestGenCommand:
         assert err.startswith("error: weight_range")
         assert "Traceback" not in err
         assert err.count("\n") == 1
+
+    def test_gen_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        args = ["gen", "--k", "2", "--l", "3", "--seed", "-1", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestBenchCommand:

@@ -124,11 +124,48 @@ def test_generated_models_always_validate(k, L, seed, structure):
         GenSpec(k=2.5, L=3, seed=0),
         GenSpec(k=2, L=3.0, seed=0),
         GenSpec(k=True, L=3, seed=0),
+        # A seed is a non-negative integer: numpy would draw fresh entropy
+        # for None and reject the others with a message naming no field.
+        GenSpec(k=2, L=3, seed=None),
+        GenSpec(k=2, L=3, seed=-1),
+        GenSpec(k=2, L=3, seed=np.int64(-1)),
+        GenSpec(k=2, L=3, seed=1.5),
+        GenSpec(k=2, L=3, seed="x"),
+        GenSpec(k=2, L=3, seed=True),
+        # A weight range is exactly two real numbers, not bools.
+        GenSpec(k=2, L=3, seed=0, weight_range=(1.0,)),
+        GenSpec(k=2, L=3, seed=0, weight_range=(0.2, 1.0, 3.0)),
+        GenSpec(k=2, L=3, seed=0, weight_range=None),
+        GenSpec(k=2, L=3, seed=0, weight_range=("a", "b")),
+        GenSpec(k=2, L=3, seed=0, weight_range=(True, 2)),
+        GenSpec(k=2, L=3, seed=0, weight_range=(0.5, math.nan)),
     ],
 )
 def test_infeasible_specs(spec):
     with pytest.raises(InfeasibleStructure):
         generate(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (GenSpec(k=2, L=3, seed=-1), "seed"),
+        (GenSpec(k=2, L=3, seed=None), "seed"),
+        (GenSpec(k=2, L=3, seed=0, weight_range=(1.0,)), "weight_range"),
+        (GenSpec(k=2, L=3, seed=0, weight_range=("a", "b")), "weight_range"),
+    ],
+)
+def test_infeasible_spec_names_its_field(spec, field):
+    with pytest.raises(InfeasibleStructure, match=f"^{field} must be"):
+        generate(spec)
+
+
+def test_integer_seeds_of_any_kind_agree():
+    spec = GenSpec(k=2, L=3, seed=7, weight_range=[1, 2])
+    a = generate(spec).sigma_blocks
+    for seed in (np.int64(7), np.uint8(7)):
+        assert np.array_equal(generate(replace(spec, seed=seed)).sigma_blocks, a)
+    assert generate(replace(spec, seed=0)).L == 3
 
 
 def test_diagonal_structure_at_any_weight_range():
